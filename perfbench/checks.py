@@ -566,14 +566,19 @@ CORRUPTIONS = {
 }
 
 
+# A wrong output can also break a check's lookups (an unknown page id, a
+# missing symbol or metric); that is the check's failure too.
+REJECTED = (CheckFailed, KeyError, IndexError, ValueError)
+
+
 def run_checks(out, ctx) -> list[str]:
     """Every check on the real outputs; returns the failures as messages."""
     failures = []
     for name, check in CHECKS.items():
         try:
             check(out, ctx)
-        except CheckFailed as exc:
-            failures.append(f"{name}: {exc}")
+        except REJECTED as exc:
+            failures.append(f"{name}: {exc!r}")
     return failures
 
 
@@ -583,7 +588,7 @@ def self_test(out, ctx) -> list[str]:
     for name, corrupt in CORRUPTIONS.items():
         try:
             CHECKS[name](corrupt(out, ctx), ctx)
-        except CheckFailed:
+        except REJECTED:
             continue
         missed.append(name)
     return missed

@@ -14,13 +14,14 @@ single client.  A run
      train-formula2vec and index-text, every step the timed commands read
      from;
   3. after each set-up, repeats whole rounds of train-symbol2vec,
-     train-formula2vec, neighbors (every symbol), pca and one search per
-     method, until ``--seconds`` of rounds have passed in all;
+     neighbors (every symbol), pca and one search per method; set-ups and
+     rounds together take ``--seconds``;
   4. evaluates the last round's runs, checks every output against the
      benchmark's own computations (``checks.py``) and makes sure each check
      rejects a corrupted copy of its output;
-  5. prints one JSON line: correct, attempted and failed commands, and the
-     metrics (end-to-end with ``--trace 0``, per layer with ``--trace 1``).
+  5. prints one JSON line: correct, attempted and failed commands (a
+     command fails when it exits non-zero or raises), and the metrics
+     (end-to-end with ``--trace 0``, per layer with ``--trace 1``).
 
 With ``--trace 1`` the rounds alternate between untraced and traced, and
 every per-layer figure is that of one traced setup plus one traced round.
@@ -45,6 +46,12 @@ from dataclasses import dataclass
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
+
+# One BLAS thread, set before numpy loads: the benchmark times CPU time, and
+# OpenBLAS helper threads would add theirs (spinning while they wait) to every
+# numpy call large enough to be split.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import checks  # noqa: E402
 
@@ -73,7 +80,7 @@ SETTINGS = {
                               steps=50, setups=9),
     "search-trained": Settings(f2v=("--dim", "50", "--epochs", "5", "--lr-start", "0.2"),
                                s2v=("--dim", "50", "--epochs", "1", "--lr-start", "0.2"),
-                               steps=10, setups=5),
+                               steps=10, setups=7),
 }
 
 END_TO_END_UNITS = {
@@ -110,25 +117,36 @@ class Bench:
                         (inputs / "queries.jsonl").read_text(encoding="utf-8").splitlines()]
         # positions a training command processes: epochs x in-vocabulary tokens of
         # the trainable formulae (every surface of a passing formula is in the
-        # vocabulary; formula mode needs two tokens, symbol mode one)
+        # vocabulary; formula mode needs two tokens, symbol mode one).  Both the
+        # end-to-end rates and the traced embeddings.train.positions use these.
         lengths = [len(f["surfaces"]) for f in truth["formulas"].values() if f["passes"]]
-        self.s2v_positions = _epochs(self.settings.s2v) * sum(lengths)
-        self.f2v_positions = _epochs(self.settings.f2v) * sum(n for n in lengths if n >= 2)
+        self.positions = {
+            "train-symbol2vec": _epochs(self.settings.s2v) * sum(lengths),
+            "train-formula2vec": _epochs(self.settings.f2v) * sum(n for n in lengths if n >= 2),
+        }
 
     def _path(self, name) -> str:
         return str(self.work / name)
 
     def run(self, *argv) -> float:
-        """One CLI command; returns its wall time in seconds."""
+        """One CLI command; returns the CPU time it took, in seconds.
+
+        CPU time, not wall time: on a shared host the hypervisor takes the
+        virtual CPU away for seconds at a time, which doubles wall times at
+        random.  The commands are single-threaded and wait on no I/O, so on an
+        unshared machine their CPU time is their wall time."""
         buf = io.StringIO()
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(buf):
-            code = self.mathemb(list(argv))
-        dt = time.perf_counter() - t0
+        t0 = time.process_time()
+        try:
+            with contextlib.redirect_stdout(buf):
+                code = self.mathemb(list(argv))
+        except Exception as exc:  # the CLI let an error escape: the command failed
+            code = repr(exc)
+        dt = time.process_time() - t0
         self.attempted += 1
         if code != 0:
             self.failed += 1
-            print(f"command failed with exit {code}: mathemb {' '.join(argv)}", file=sys.stderr)
+            print(f"command failed ({code}): mathemb {' '.join(argv)}", file=sys.stderr)
         self.stdout[argv[0]] = buf.getvalue()
         return dt
 
@@ -152,10 +170,6 @@ class Bench:
         times = {
             "train-symbol2vec": self.run("train-symbol2vec", "--corpus", p("train.corpus"),
                                          "--out", p("s2v"), *s.s2v, "--seed", self.seed),
-            # the same command as in set-up: it rewrites the searches' model
-            # byte for byte, since training is deterministic
-            "train-formula2vec": self.run("train-formula2vec", "--corpus", p("train.corpus"),
-                                          "--out", p("f2v"), *s.f2v, "--seed", self.seed),
             "neighbors": self.run("neighbors", "--model", p("s2v"), "--k", str(K),
                                   "--out", p("neighbors.tsv")),
             "pca": self.run("pca", "--model", p("s2v"), "--components", str(COMPONENTS),
@@ -196,34 +210,37 @@ class Bench:
 
 
 def end_to_end(bench: Bench, seconds: float) -> dict[str, float]:
-    """Set-ups spread over the run, each followed by whole rounds worth a
-    share of `seconds`, so that every figure samples the whole run."""
+    """Set-ups spread over the run, each followed by whole rounds until its
+    share of `seconds` has passed, so that every figure samples the whole run
+    and a slower machine runs fewer rounds rather than a longer run."""
     n_setups = bench.settings.setups
-    setups, rounds, spent = [], [], 0.0
+    setups, rounds = [], []
+    t0 = time.perf_counter()
     for i in range(n_setups):
         setups.append(bench.setup())
         while True:
-            t = time.perf_counter()
             rounds.append(bench.round())
-            spent += time.perf_counter() - t
-            if spent >= seconds * (i + 1) / n_setups:
+            if time.perf_counter() - t0 >= seconds * (i + 1) / n_setups:
                 break
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-    # Each figure is the fastest round's.  The commands are deterministic and
-    # single-threaded, so their cost varies only with how much of the shared
-    # CPU other tenants take at the moment; the fastest of a run's rounds
-    # varies least from run to run.
-    def rate(work_per_round, step):
-        return work_per_round / min(r[step] for r in rounds)
+    # Each timed figure is the median over the run's samples: the rounds' for
+    # the commands they run, the set-ups' for train-formula2vec.  The host's
+    # speed drifts between a fast and a slow state; the median stays with the
+    # state the run mostly saw, where the fastest sample depends on whether a
+    # short fast moment happened to come.
+    def rate(work, step, samples=rounds):
+        return work / statistics.median(r[step] for r in samples)
 
     n_queries = len(bench.queries)
     return {
         "setup_s": statistics.median(sum(s.values()) for s in setups),
         "peak_rss_mb": peak_rss_mb,
-        "s2v_train_positions_per_s": rate(bench.s2v_positions, "train-symbol2vec"),
-        "f2v_train_positions_per_s": rate(bench.f2v_positions, "train-formula2vec"),
-        "analysis_s": min(r["neighbors"] + r["pca"] for r in rounds),
+        "s2v_train_positions_per_s": rate(bench.positions["train-symbol2vec"],
+                                          "train-symbol2vec"),
+        "f2v_train_positions_per_s": rate(bench.positions["train-formula2vec"],
+                                          "train-formula2vec", setups),
+        "analysis_s": statistics.median(r["neighbors"] + r["pca"] for r in rounds),
         "f2v_search_queries_per_s": rate(n_queries, "formula2vec"),
         "lm_search_queries_per_s": rate(n_queries, "lm"),
         "combined_search_queries_per_s": rate(n_queries, "combined"),
@@ -241,25 +258,20 @@ def per_layer(bench: Bench, seconds: float) -> dict[str, tuple[float, str]]:
         setup_tr.uninstall()
 
     # untraced and traced rounds alternate, in whole pairs
-    walls = {False: [], True: []}
+    cpu = {False: [], True: []}
     t0 = time.perf_counter()
-    while not walls[True] or time.perf_counter() - t0 < seconds:
+    while not cpu[True] or time.perf_counter() - t0 < seconds:
         for traced in (False, True):
             if traced:
                 round_tr.install()
             try:
-                t = time.perf_counter()
-                bench.round()
-                walls[traced].append(time.perf_counter() - t)
+                cpu[traced].append(sum(bench.round().values()))
             finally:
                 round_tr.uninstall()
-    n = len(walls[True])
+    n = len(cpu[True])
 
     def total(name, kind):
         return getattr(setup_tr, kind)(name) + getattr(round_tr, kind)(name) / n
-
-    def value(name):
-        return setup_tr.values.get(name, 0) + round_tr.values.get(name, 0) / n
 
     def p50(name):
         d = setup_tr.stats.get(name), round_tr.stats.get(name)
@@ -280,7 +292,9 @@ def per_layer(bench: Bench, seconds: float) -> dict[str, tuple[float, str]]:
     m["corpus.filter_corpus.kept"] = (setup_tr.values["corpus.filter_corpus.kept"], "count")
     m["corpus.build_vocabulary.size"] = (setup_tr.values["corpus.build_vocabulary.size"],
                                          "count")
-    m["embeddings.train.positions"] = (value("embeddings.train.positions"), "count")
+    m["embeddings.train.positions"] = (
+        sum(total(f"embeddings.{cmd.replace('-', '_')}", "calls") * n_pos
+            for cmd, n_pos in bench.positions.items()), "count")
     m["embeddings.infer_vector.ms_p50"] = (p50("embeddings.infer_vector"), "ms")
     m["retrieval.infer_per_distinct_formula"] = (
         infer_calls / len(round_tr.inferred) if round_tr.inferred else 0.0, "ratio")
@@ -291,8 +305,7 @@ def per_layer(bench: Bench, seconds: float) -> dict[str, tuple[float, str]]:
                                                 "s")
     for method in METHODS:
         m[f"retrieval.rank_pages.{method}.ms_p50"] = (p50(f"retrieval.rank_pages.{method}"), "ms")
-    m["trace.overhead_s"] = (statistics.median(walls[True]) - statistics.median(walls[False]),
-                             "s")
+    m["trace.overhead_s"] = (statistics.median(cpu[True]) - statistics.median(cpu[False]), "s")
     return m
 
 

@@ -9,8 +9,9 @@ module that calls it.  The CLI imports its handlers' functions when a
 command runs, so patching the defining module reaches it.
 
 Each span adds to its name's call count and busy time (the span's
-duration); its self time is the duration minus the time covered by the
-spans it caused.  Aggregates stay in memory and are read at the end.
+duration in CPU time of the process, the clock the end-to-end figures
+use); its self time is the duration minus the time covered by the spans it
+caused.  Aggregates stay in memory and are read at the end.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ class Tracer:
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             self._stack.append(0.0)
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             try:
                 result = fn(*args, **kwargs)
             finally:
-                dt = time.perf_counter() - t0
+                dt = time.process_time() - t0
                 child = self._stack.pop()
                 if self._stack:
                     self._stack[-1] += dt
@@ -73,15 +74,6 @@ class Tracer:
     def install(self):
         from mathemb import analysis, corpus, embeddings, retrieval
 
-        def positions(table, formulas, vocab, config, *a, **k):
-            # epochs x in-vocabulary tokens of the formulae long enough to train
-            min_len = 2 if table.formula_vectors is not None else 1
-            per_epoch = 0
-            for f in formulas:
-                n = sum(1 for t in f.tokens if t.surface in vocab.index)
-                per_epoch += n if n >= min_len else 0
-            self._add("embeddings.train.positions", config.epochs * per_epoch)
-
         def inferred(result, tokens, *a, **k):
             self.inferred.add(" ".join(t.surface for t in tokens))
 
@@ -94,8 +86,8 @@ class Tracer:
           after=lambda r, *a, **k: self._set("corpus.filter_corpus.kept", len(r)))
         p(corpus, "build_vocabulary", "corpus.build_vocabulary",
           after=lambda r, *a, **k: self._set("corpus.build_vocabulary.size", len(r)))
-        p(embeddings, "train_symbol2vec", "embeddings.train_symbol2vec", after=positions)
-        p(embeddings, "train_formula2vec", "embeddings.train_formula2vec", after=positions)
+        p(embeddings, "train_symbol2vec", "embeddings.train_symbol2vec")
+        p(embeddings, "train_formula2vec", "embeddings.train_formula2vec")
         p(embeddings, "save_table", "embeddings.save_table")
         p(embeddings, "load_table", "embeddings.load_table")
         p(retrieval, "infer_vector", "embeddings.infer_vector", after=inferred,
@@ -117,9 +109,6 @@ class Tracer:
         while self._patches:
             owner, attr, original = self._patches.pop()
             setattr(owner, attr, original)
-
-    def _add(self, name, n):
-        self.values[name] = self.values.get(name, 0) + n
 
     def _set(self, name, n):
         self.values[name] = n
