@@ -13,7 +13,7 @@ single client.  A run
   2. sets up several times, spread over the run: ingest, filter,
      train-formula2vec and index-text, every step the timed commands read
      from;
-  3. after each set-up, repeats whole rounds of train-symbol2vec,
+  3. between the set-ups, repeats whole rounds of train-symbol2vec,
      neighbors (every symbol), pca and one search per method; set-ups and
      rounds together take ``--seconds``;
   4. evaluates the last round's runs, checks every output against the
@@ -76,8 +76,8 @@ COMPONENTS = 2
 
 SETTINGS = {
     "search-unseen": Settings(f2v=("--dim", "50", "--epochs", "10", "--lr-start", "0.2"),
-                              s2v=("--dim", "50", "--epochs", "5", "--lr-start", "0.2"),
-                              steps=50, setups=9),
+                              s2v=("--dim", "50", "--epochs", "10", "--lr-start", "0.2"),
+                              steps=50, setups=20),
     "search-trained": Settings(f2v=("--dim", "50", "--epochs", "5", "--lr-start", "0.2"),
                                s2v=("--dim", "50", "--epochs", "1", "--lr-start", "0.2"),
                                steps=10, setups=7),
@@ -210,18 +210,22 @@ class Bench:
 
 
 def end_to_end(bench: Bench, seconds: float) -> dict[str, float]:
-    """Set-ups spread over the run, each followed by whole rounds until its
-    share of `seconds` has passed, so that every figure samples the whole run
-    and a slower machine runs fewer rounds rather than a longer run."""
+    """Set-ups and whole rounds interleaved over `seconds`: set-up i is due
+    once i/n of the time has passed, and rounds fill the time between, so
+    that every figure samples the whole run.  A slower machine runs fewer
+    rounds rather than a longer run; every set-up runs, and at least one
+    round."""
     n_setups = bench.settings.setups
     setups, rounds = [], []
     t0 = time.perf_counter()
-    for i in range(n_setups):
-        setups.append(bench.setup())
-        while True:
+    while True:
+        elapsed = time.perf_counter() - t0
+        if len(setups) < n_setups and elapsed >= seconds * len(setups) / n_setups:
+            setups.append(bench.setup())
+        elif elapsed < seconds or not rounds:
             rounds.append(bench.round())
-            if time.perf_counter() - t0 >= seconds * (i + 1) / n_setups:
-                break
+        else:
+            break
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     # Each timed figure is the median over the run's samples: the rounds' for
