@@ -1,10 +1,11 @@
 """Read-only analysis over a trained table: cosine similarity, nearest
 neighbors, and a 2-D PCA projection suitable for external plotting.
 
-Neighbor ranking uses the input vectors only.  PCA is implemented by power
-iteration with deflation so results need no external solver and the sign
-convention (largest-magnitude entry of each component is positive) keeps
-golden files stable.
+Neighbor ranking uses the input vectors only: one product of the
+L2-normalised candidate rows with the normalised query row.  PCA is
+implemented by power iteration with deflation so results need no external
+solver and the sign convention (largest-magnitude entry of each component is
+positive) keeps golden files stable.
 """
 
 from __future__ import annotations
@@ -15,40 +16,59 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DimensionMismatch, InsufficientRows, UnknownSurface, ZeroVector
+from .errors import (
+    DimensionMismatch, InsufficientRows, NonFiniteVector, UnknownSurface, ZeroVector,
+)
 
 _PI_TOL = 1e-9
 _PI_MAX_ITER = 1000
 
 
-def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    """x times the power of two that puts its max-abs entry in [0.5, 1).
+def _scaled_rows(x: np.ndarray) -> np.ndarray:
+    """Each row of x times the power of two that puts its max-abs entry in
+    [0.5, 1).  The scaling is exact, and the scaled rows' dot products can
+    neither underflow nor overflow.
 
-    Raises ZeroVector when every entry is 0.
+    Raises NonFiniteVector on a NaN or infinite entry and ZeroVector when
+    every entry of a row is 0.
     """
-    peak = float(np.abs(x).max(initial=0.0))
-    if peak == 0.0:
+    peak = np.abs(x).max(axis=1, initial=0.0)
+    if not np.isfinite(peak).all():
+        raise NonFiniteVector("vector has a NaN or infinite entry")
+    if not peak.all():
         raise ZeroVector("cosine of a zero vector is undefined")
-    return np.ldexp(x, -math.frexp(peak)[1])
+    return np.ldexp(x, -np.frexp(peak)[1][:, np.newaxis])
+
+
+def unit_rows(x) -> np.ndarray:
+    """The rows of a 2-D array scaled to unit L2 norm, safe at any scale.
+
+    Rows are first scaled by a power of two from their max-abs entry (as
+    cosine does), so tiny or huge rows normalise without underflow or
+    overflow.  Raises NonFiniteVector on a NaN or infinite entry instead of
+    letting it through, and ZeroVector on an all-zero row.
+    """
+    x = _scaled_rows(np.asarray(x, dtype=np.float64))
+    return x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, np.newaxis]
 
 
 def cosine(u, v) -> float:
     """u.v / (|u||v|), clipped to [-1, 1].
 
-    Inputs must be finite.  A vector is zero, and raises ZeroVector, only
-    when all its entries are 0; any other vector has a cosine however small
-    or large its entries.  The result is scale-invariant: each input is first
-    scaled by a power of two taken from its own max-abs entry (as in a scaled
-    Euclidean norm), so the dot products cannot underflow or overflow.  That
-    scaling is exact, so wherever the unscaled products stay in range the
-    result is bit-for-bit the unscaled formula's.
+    A NaN or infinite entry raises NonFiniteVector.  A vector is zero, and
+    raises ZeroVector, only when all its entries are 0; any other vector has
+    a cosine however small or large its entries.  The result is
+    scale-invariant: each input is first scaled by a power of two taken from
+    its own max-abs entry (as in a scaled Euclidean norm), so the dot
+    products cannot underflow or overflow.  That scaling is exact, so
+    wherever the unscaled products stay in range the result is bit-for-bit
+    the unscaled formula's.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise DimensionMismatch(f"{u.shape} vs {v.shape}")
-    u = _unit_scaled(u)
-    v = _unit_scaled(v)
+    u, v = _scaled_rows(np.stack((u.ravel(), v.ravel())))
     uu = float(u @ u)
     vv = float(v @ v)
     # sqrt of the product keeps exactly-parallel integer cases exact
@@ -65,8 +85,10 @@ def nearest_neighbors(table: EmbeddingTable, surface: str, k: int) -> NeighborLi
     """Exact top-k by cosine, brute force over all vocabulary rows.
 
     The query surface is excluded; ties break lexicographically.  Candidate
-    rows whose entries are all 0 (untrainable in practice) are skipped;
-    cosine uses the same zero test, so every kept row gets a cosine.
+    rows whose entries are all 0 (untrainable in practice) are skipped.  The
+    cosines are one product of the normalised candidate rows with the
+    normalised query row, computed row by row in the same order for every
+    row, so identical rows get identical cosines.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -75,16 +97,14 @@ def nearest_neighbors(table: EmbeddingTable, surface: str, k: int) -> NeighborLi
     q = table.vector(surface)
     if not np.any(q):
         raise ZeroVector(f"vector of {surface!r} is zero")
-    scored = []
-    for other in table.vocab.surfaces:
-        if other == surface:
-            continue
-        row = table.vector(other)
-        if not np.any(row):
-            continue
-        scored.append((other, cosine(q, row)))
-    scored.sort(key=lambda sc: (-sc[1], sc[0]))
-    return NeighborList(surface, scored[:k])
+    keep = np.any(table.input_vectors, axis=1)
+    keep[table.vocab.index[surface]] = False
+    candidates = np.flatnonzero(keep)
+    cos = np.clip(np.einsum("ij,j->i", unit_rows(table.input_vectors[candidates]),
+                            unit_rows(q[np.newaxis])[0]), -1.0, 1.0)
+    names = np.asarray(table.vocab.surfaces)[candidates]
+    top = np.lexsort((names, -cos))[:k]
+    return NeighborList(surface, [(str(names[j]), float(cos[j])) for j in top])
 
 
 @dataclass

@@ -118,8 +118,8 @@ def build_parser():
     p.add_argument("--index", default=None, help="text index file (lm/combined)")
     p.add_argument("--alpha", type=float, default=4.0,
                    help="text weight in the combined score (default 4)")
-    p.add_argument("--mu", type=float, default=2000.0,
-                   help="Dirichlet smoothing mass (default 2000)")
+    p.add_argument("--mu", type=float, default=None,
+                   help="Dirichlet smoothing mass (default: the one index-text stored)")
     p.add_argument("--top", type=int, default=1000, help="pages kept per query (default 1000)")
     p.add_argument("--steps", type=int, default=50,
                    help="inference passes for unseen formulae (default 50)")
@@ -321,24 +321,31 @@ def _cmd_search(args) -> int:
     from .corpus import ingest_queries, load_collection
     from .embeddings import load_table
     from .retrieval import (
-        FormulaVectorProvider, RankMethod, TextIndex, rank_pages, write_run,
+        FormulaMatrix, FormulaVectorProvider, RankMethod, TextIndex, rank_pages, write_run,
     )
 
     method = RankMethod(args.method)
     coll = load_collection(args.store)
     queries = ingest_queries(args.queries)
     provider = None
+    formulas = None
     index = None
     if method in (RankMethod.FORMULA2VEC, RankMethod.COMBINED):
         if not args.model:
             raise ValueError(f"--model is required for method {method.value}")
         provider = FormulaVectorProvider(load_table(args.model), infer_steps=args.steps)
+        formulas = FormulaMatrix.build(coll.pages, coll, provider, queries)
     if method in (RankMethod.LM, RankMethod.COMBINED):
         if not args.index:
             raise ValueError(f"--index is required for method {method.value}")
         index = TextIndex.load(args.index)
+        if args.mu is None:
+            args.mu = index.mu
     ranked = [rank_pages(q, coll, method, provider=provider, index=index,
-                         alpha=args.alpha, mu=args.mu) for q in queries]
+                         alpha=args.alpha, mu=args.mu, formulas=formulas) for q in queries]
+    for rl in ranked:
+        if rl.no_formulae:
+            print(f"warning: query {rl.query_id} has no usable formulae", file=sys.stderr)
     seed = provider.table.config.seed if provider else None
     write_run(ranked, args.out, tag=args.tag, top=args.top, meta=_meta(args, seed=seed))
     print(f"queries={len(queries)} pages={coll.page_count} method={method.value}")
@@ -427,3 +434,7 @@ def main(argv=None) -> int:
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

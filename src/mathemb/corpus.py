@@ -211,7 +211,12 @@ class Vocabulary:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` token indices from the unigram^power distribution."""
-        return np.searchsorted(self._cumulative, rng.random(size), side="right")
+        return self.quantile(rng.random(size))
+
+    def quantile(self, uniforms) -> np.ndarray:
+        """Token indices at the given uniform [0, 1) draws of the sampling
+        distribution (inverse CDF); any array shape."""
+        return np.searchsorted(self._cumulative, uniforms, side="right")
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()

@@ -14,6 +14,13 @@ updates reproduces the analytic gradient.
 Training is deterministic for a given (corpus, config, seed) when workers=1;
 the optional multi-worker mode updates shared tables without locks and is
 only statistically reproducible.
+
+Inference of unseen formulae (infer_vectors, and infer_vector for one)
+applies the same PV-DM update to a new formula vector alone, the trained
+rows frozen.  Formulae are therefore independent, and a batch of them runs
+in lockstep, one position of each per step, so the arithmetic of a step is a
+few numpy calls over the whole batch while every formula keeps its own
+seeded generator.
 """
 
 from __future__ import annotations
@@ -211,7 +218,13 @@ def _sample_negatives(vocab: Vocabulary, rng: np.random.Generator,
                       k: int, target: int) -> list[int]:
     """k draws from the unigram^power table; collisions with the target are
     resampled up to 100 times each, then dropped."""
-    draws = vocab.sample(rng, k)
+    return _replace_collisions(vocab, rng, vocab.sample(rng, k), target)
+
+
+def _replace_collisions(vocab: Vocabulary, rng: np.random.Generator,
+                        draws, target: int) -> list[int]:
+    """draws with each draw equal to target resampled from rng, in order, up
+    to 100 times; a draw that still collides is dropped."""
     out = []
     for d in draws:
         d = int(d)
@@ -353,54 +366,119 @@ def train_formula2vec(formulas, vocab: Vocabulary, config: TrainingConfig,
     return _train(formulas, vocab, config, with_docs=True, workers=workers)
 
 
-def infer_vector(tokens, table: EmbeddingTable, steps: int = 50,
-                 lr: float = 0.025, seed: int = 0) -> np.ndarray:
-    """Vector for an unseen formula under a trained formula-mode table.
+# Formulae inferred together per block.  Inference keeps per-block working
+# arrays of (block, 2 * window, dim) floats, so the block size bounds memory
+# however many formulae one call infers.
+_INFER_BLOCK = 64
 
-    Runs `steps` PV-DM passes over the token sequence updating only the new
-    formula vector; word and context rows stay frozen.  Out-of-vocabulary
-    tokens are skipped; if nothing remains, UnknownTokensOnly is raised.
-    steps=0 returns the seeded random initialization.
+
+def _encode_tokens(tokens, vocab: Vocabulary) -> np.ndarray:
+    surfaces = [t.surface if isinstance(t, SymbolToken) else str(t) for t in tokens]
+    return np.asarray([vocab.index[s] for s in surfaces if s in vocab.index], dtype=np.intp)
+
+
+def infer_vectors(token_lists, table: EmbeddingTable, seeds, steps: int = 50,
+                  lr: float = 0.025) -> list[np.ndarray | None]:
+    """Vectors for unseen formulae under a trained formula-mode table.
+
+    Formula i gets `steps` PV-DM passes over its in-vocabulary tokens that
+    update only its own new vector; word and context rows stay frozen.  Its
+    initialization, window widths and negatives are drawn from its own
+    np.random.default_rng(seeds[i]), in the order a lone inference draws
+    them, so a formula's vector does not depend on the others inferred with
+    it (up to the rounding of the batched dot products).  The formulae run
+    in lockstep, one position of each per step, so each step's arithmetic is
+    a few numpy calls over the whole block.  A formula whose tokens are all
+    out of vocabulary gets None; steps=0 returns the seeded initializations.
     """
     if table.config.mode is not Mode.FORMULA2VEC or table.formula_vectors is None:
         raise ValueError("inference needs a table trained in formula2vec mode")
-    surfaces = [t.surface if isinstance(t, SymbolToken) else str(t) for t in tokens]
-    seq = np.asarray([table.vocab.index[s] for s in surfaces if s in table.vocab.index],
-                     dtype=np.intp)
-    if len(seq) == 0:
-        raise UnknownTokensOnly("every token is out of vocabulary")
+    seqs = [_encode_tokens(tokens, table.vocab) for tokens in token_lists]
+    seeds = list(seeds)
+    if len(seeds) != len(seqs):
+        raise ValueError(f"{len(seqs)} formulae but {len(seeds)} seeds")
+    # longest first, so each block's active formulae are a prefix of it
+    order = sorted((i for i, seq in enumerate(seqs) if len(seq)), key=lambda i: -len(seqs[i]))
+    dim = table.config.dim
+    # an all-zero row past the vocabulary pads short windows and dropped negatives
+    words = np.vstack((table.input_vectors, np.zeros((1, dim))))
+    outputs = np.vstack((table.context_vectors, np.zeros((1, dim))))
+    out: list[np.ndarray | None] = [None] * len(seqs)
+    for start in range(0, len(order), _INFER_BLOCK):
+        block = order[start:start + _INFER_BLOCK]
+        vecs = _infer_block([seqs[i] for i in block], [seeds[i] for i in block],
+                            table, words, outputs, steps, lr)
+        for i, vec in zip(block, vecs):
+            out[i] = vec
+    return out
 
+
+def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs,
+                 steps: int, lr: float) -> np.ndarray:
+    """Lockstep inference of non-empty sequences sorted by length, longest first."""
     config = table.config
-    rng = np.random.default_rng(seed)
-    dim = config.dim
-    v = rng.uniform(-0.5 / dim, 0.5 / dim, dim)
+    vocab = table.vocab
+    dim, window, k = config.dim, config.window, config.negatives
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    vecs = np.stack([rng.uniform(-0.5 / dim, 0.5 / dim, dim) for rng in rngs])
     if steps == 0:
-        return v
+        return vecs
 
-    input_vectors = table.input_vectors
-    context_vectors = table.context_vectors
+    pad = len(vocab)
+    lens = np.array([len(seq) for seq in seqs])
+    # sequences padded by a window of pad on each side, so every context
+    # index falls inside its row
+    padded = np.full((len(seqs), lens[0] + 2 * window), pad, dtype=np.intp)
+    for i, seq in enumerate(seqs):
+        padded[i, window:window + len(seq)] = seq
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    reach = np.abs(offsets)
+    columns = window + offsets
+    block_rows = np.arange(len(seqs))
+    uniforms = np.empty((len(seqs), k))
+    uniform_rows = list(uniforms)       # views, filled in place by each generator
     lr_end = min(lr, config.lr_end)
-    total = max(1, steps * len(seq) - 1)
-    step = 0
-    for _ in range(steps):
-        for pos in range(len(seq)):
-            cur_lr = lr - (lr - lr_end) * (step / total)
-            step += 1
-            b = int(rng.integers(1, config.window + 1))
-            ctx = _context(seq, pos, b)
-            target = int(seq[pos])
-            negs = _sample_negatives(table.vocab, rng, config.negatives, target)
+    n_steps = steps * lens
+    totals = np.maximum(1, n_steps - 1)
+    active = len(seqs)
+    for step in range(int(n_steps[0])):
+        while n_steps[active - 1] <= step:
+            active -= 1
+        rows = block_rows[:active]
+        pos = step % lens[:active]
+        targets = padded[rows, window + pos]
+        widths = np.array([rng.integers(1, window + 1) for rng in rngs[:active]])
+        for rng, row in zip(rngs[:active], uniform_rows):
+            rng.random(out=row)
+        negatives = vocab.quantile(uniforms[:active])
+        for i in np.flatnonzero((negatives == targets[:, None]).any(axis=1)):
+            kept = _replace_collisions(vocab, rngs[i], negatives[i], int(targets[i]))
+            negatives[i] = kept + [pad] * (k - len(kept))
 
-            n_members = len(ctx) + 1
-            h = (input_vectors[ctx].sum(axis=0) + v) / n_members
-            rows = np.empty(1 + len(negs), dtype=np.intp)
-            rows[0] = target
-            rows[1:] = negs
-            u = context_vectors[rows]
-            g = _sigmoid(u @ h)
-            g[0] -= 1.0
-            v -= (cur_lr / n_members) * (g @ u)
-    return v
+        ctx = padded[rows[:, None], pos[:, None] + columns]
+        ctx[reach > widths[:, None]] = pad
+        n_members = np.count_nonzero(ctx != pad, axis=1) + 1
+        h = (words[ctx].sum(axis=1) + vecs[:active]) / n_members[:, None]
+        u = outputs[np.concatenate((targets[:, None], negatives), axis=1)]
+        g = _sigmoid(np.einsum("mkd,md->mk", u, h))
+        g[:, 0] -= 1.0
+        cur_lr = lr - (lr - lr_end) * (step / totals[:active])
+        vecs[:active] -= (cur_lr / n_members)[:, None] * np.einsum("mk,mkd->md", g, u)
+    return vecs
+
+
+def infer_vector(tokens, table: EmbeddingTable, steps: int = 50,
+                 lr: float = 0.025, seed: int = 0) -> np.ndarray:
+    """Vector for one unseen formula: infer_vectors on a batch of one.
+
+    Out-of-vocabulary tokens are skipped; if nothing remains,
+    UnknownTokensOnly is raised.  steps=0 returns the seeded random
+    initialization.
+    """
+    vec = infer_vectors([tokens], table, [seed], steps=steps, lr=lr)[0]
+    if vec is None:
+        raise UnknownTokensOnly("every token is out of vocabulary")
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +501,12 @@ def _write_vector_file(path, labels, matrix, first_lines, meta_comment):
 
 
 def _read_vector_file(path, expect_first=None):
+    """Labels and rows of a word2vec-style text file.
+
+    Raises MalformedRecord, naming the file and line, on a bad count line, a
+    row whose width differs from the count line, an entry that is not a
+    finite number, or fewer rows than the count line promises.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     pos = 0
@@ -432,14 +516,27 @@ def _read_vector_file(path, expect_first=None):
         pos = 1
     while pos < len(lines) and lines[pos].startswith("#"):
         pos += 1
-    counts = lines[pos].split()
-    n, dim = int(counts[0]), int(counts[1])
-    pos += 1
+    try:
+        n, dim = (int(x) for x in lines[pos].split())
+    except (IndexError, ValueError):
+        raise MalformedRecord(f"{path}:{pos + 1}: expected a count line 'rows dim'") from None
+    if len(lines) - pos - 1 < n:
+        raise MalformedRecord(f"{path}: count line promises {n} rows, file has "
+                              f"{len(lines) - pos - 1}")
     labels, rows = [], np.empty((n, dim))
     for i in range(n):
-        parts = lines[pos + i].split(" ")
+        lineno = pos + 2 + i
+        parts = lines[lineno - 1].split(" ")
+        if len(parts) != dim + 1:
+            raise MalformedRecord(f"{path}:{lineno}: {len(parts) - 1} entries, expected {dim}")
+        try:
+            rows[i] = [float(x) for x in parts[1:]]
+        except ValueError:
+            raise MalformedRecord(f"{path}:{lineno}: entry is not a number") from None
         labels.append(parts[0])
-        rows[i] = [float(x) for x in parts[1:]]
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if len(bad):
+        raise MalformedRecord(f"{path}:{pos + 2 + bad[0]}: entry is not finite")
     return labels, rows
 
 
@@ -493,13 +590,18 @@ def load_table(prefix) -> EmbeddingTable:
     wv_labels, input_vectors = _read_vector_file(f"{prefix}.wv.txt")
     if wv_labels != vocab.surfaces:
         raise MalformedRecord(f"{prefix}.wv.txt: surfaces do not match the stored vocabulary")
-    _, context_vectors = _read_vector_file(f"{prefix}.ctx.txt")
+    ctx_labels, context_vectors = _read_vector_file(f"{prefix}.ctx.txt")
+    if ctx_labels != vocab.surfaces or context_vectors.shape != input_vectors.shape:
+        raise MalformedRecord(f"{prefix}.ctx.txt: rows do not match {prefix}.wv.txt")
 
     formula_vectors = None
     formula_ids = None
     if payload.get("has_formula_vectors"):
         formula_ids, formula_vectors = _read_vector_file(f"{prefix}.dv.txt",
                                                          expect_first=DOCVEC_HEADER)
+        if formula_vectors.shape[1] != input_vectors.shape[1]:
+            raise MalformedRecord(f"{prefix}.dv.txt: dim {formula_vectors.shape[1]} differs "
+                                  f"from {prefix}.wv.txt dim {input_vectors.shape[1]}")
     return EmbeddingTable(
         config=config, vocab=vocab,
         input_vectors=input_vectors, context_vectors=context_vectors,

@@ -61,6 +61,10 @@ class ZeroVector(MathembError):
     pass
 
 
+class NonFiniteVector(MathembError):
+    """A vector holds a NaN or infinite entry, so it has no cosine."""
+
+
 class UnknownSurface(MathembError):
     pass
 

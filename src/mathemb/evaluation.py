@@ -225,7 +225,7 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
     from .embeddings import Mode, train_formula2vec
     from .retrieval import (
         DEFAULT_ALPHA, DEFAULT_INFER_STEPS, DEFAULT_MU,
-        FormulaVectorProvider, RankMethod, TextIndex, rank_pages,
+        FormulaMatrix, FormulaVectorProvider, RankMethod, TextIndex, rank_pages,
     )
 
     values = list(values)
@@ -237,11 +237,15 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
 
     vocab = build_vocabulary(train_corpus, min_count=min_count, power=power)
 
-    def run_dict(method, provider, index, a):
+    def formula_provider(table):
+        provider = FormulaVectorProvider(table, infer_steps=infer_steps)
+        return provider, FormulaMatrix.build(collection.pages, collection, provider, queries)
+
+    def run_dict(method, provider, formulas, index, a):
         out = {}
         for q in queries:
             rl = rank_pages(q, collection, method, provider=provider, index=index,
-                            alpha=a, mu=mu)
+                            alpha=a, mu=mu, formulas=formulas)
             out[q.query_id] = [(e.page_id, e.C) for e in rl.entries]
         return out
 
@@ -250,16 +254,16 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
         for v in values:
             cfg = replace(config, dim=int(v), mode=Mode.FORMULA2VEC)
             table = train_formula2vec(train_corpus, vocab, cfg, workers=workers)
-            provider = FormulaVectorProvider(table, infer_steps=infer_steps)
-            run = run_dict(RankMethod.FORMULA2VEC, provider, None, alpha)
+            provider, formulas = formula_provider(table)
+            run = run_dict(RankMethod.FORMULA2VEC, provider, formulas, None, alpha)
             results.append((float(v), evaluate_core(run, qrels, ks, threshold)))
     elif axis is SweepAxis.ALPHA:
         cfg = replace(config, mode=Mode.FORMULA2VEC)
         table = train_formula2vec(train_corpus, vocab, cfg, workers=workers)
-        provider = FormulaVectorProvider(table, infer_steps=infer_steps)
+        provider, formulas = formula_provider(table)
         index = TextIndex.build(collection, mu)
         for v in values:
-            run = run_dict(RankMethod.COMBINED, provider, index, float(v))
+            run = run_dict(RankMethod.COMBINED, provider, formulas, index, float(v))
             results.append((float(v), evaluate_core(run, qrels, ks, threshold)))
     else:
         raise ValueError(f"unknown sweep axis {axis!r}")

@@ -153,6 +153,48 @@ def oracle_page_score(query_vecs, page_vecs):
 
 
 # ---------------------------------------------------------------------------
+# single-formula inference, one position at a time
+
+
+def oracle_infer_vector(surfaces, table, steps, lr, seed):
+    """PV-DM inference of one formula vector against frozen word and context
+    rows, one position per step, drawing from default_rng(seed) in this
+    order: the initial vector, then per position the window width in
+    [1, window], k uniforms mapped to negatives, and a redraw for each
+    negative equal to the target (at most 100, then the negative is dropped).
+    The learning rate falls linearly from lr to min(lr, lr_end)."""
+    config, vocab = table.config, table.vocab
+    seq = [vocab.index[s] for s in surfaces if s in vocab.index]
+    rng = np.random.default_rng(seed)
+    dim = config.dim
+    v = rng.uniform(-0.5 / dim, 0.5 / dim, dim)
+    lr_end = min(lr, config.lr_end)
+    total = max(1, steps * len(seq) - 1)
+    step = 0
+    for _ in range(steps):
+        for pos, target in enumerate(seq):
+            cur_lr = lr - (lr - lr_end) * (step / total)
+            step += 1
+            b = int(rng.integers(1, config.window + 1))
+            ctx = seq[max(0, pos - b):pos] + seq[pos + 1:pos + 1 + b]
+            negs = []
+            for d in vocab.sample(rng, config.negatives):
+                tries = 0
+                while d == target and tries < 100:
+                    d = vocab.sample(rng, 1)[0]
+                    tries += 1
+                if d != target:
+                    negs.append(int(d))
+            h = (sum((table.input_vectors[c] for c in ctx), np.zeros(dim)) + v) / (len(ctx) + 1)
+            grad = np.zeros(dim)
+            for row, label in [(target, 1.0)] + [(n, 0.0) for n in negs]:
+                u = table.context_vectors[row]
+                grad += (1.0 / (1.0 + math.exp(-(u @ h))) - label) * u
+            v = v - cur_lr / (len(ctx) + 1) * grad
+    return v
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mathemb.analysis import cosine, nearest_neighbors, pca_matrix, pca_project
+from mathemb.analysis import cosine, nearest_neighbors, pca_matrix, pca_project, unit_rows
 from mathemb.corpus import Vocabulary
 from mathemb.embeddings import EmbeddingTable, TrainingConfig
 from mathemb.errors import (
-    DimensionMismatch, InsufficientRows, UnknownSurface, ZeroVector,
+    DimensionMismatch, InsufficientRows, NonFiniteVector, UnknownSurface, ZeroVector,
 )
 
 from oracles import oracle_cosine
@@ -74,6 +74,19 @@ class TestCosine:
             warnings.simplefilter("error", RuntimeWarning)
             assert cosine(u, u) == 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_raises(self, bad):
+        with pytest.raises(NonFiniteVector):
+            cosine([bad, 1.0], [1.0, 1.0])
+        with pytest.raises(NonFiniteVector):
+            unit_rows([[1.0, 2.0], [bad, 1.0]])
+
+    def test_unit_rows_at_any_scale(self):
+        rows = unit_rows([[3.0, 4.0], [3e-200, 4e-200], [3e200, -4e200]])
+        np.testing.assert_allclose(rows, [[0.6, 0.8], [0.6, 0.8], [0.6, -0.8]], rtol=0, atol=1e-15)
+        with pytest.raises(ZeroVector):
+            unit_rows([[1.0, 0.0], [0.0, 0.0]])
+
     @pytest.mark.parametrize("factor", [2.0 ** -600, 2.0 ** 600], ids=["2**-600", "2**600"])
     def test_power_of_two_scaling_is_exact(self, factor):
         rng = np.random.default_rng(5)
@@ -109,6 +122,18 @@ class TestNearestNeighbors:
         m = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         nl = nearest_neighbors(table_from_matrix(m), "a", 2)
         assert [s for s, _ in nl.neighbors] == ["b", "c"]
+        # copies of one row spread over a larger table tie exactly, whatever
+        # their positions, and come in surface order
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(23, 9))
+        copies = [2, 5, 6, 13, 21]
+        m[copies] = m[copies[0]] * 3.0
+        surfaces = [f"s{i:02d}" for i in range(23)][::-1]
+        got = nearest_neighbors(table_from_matrix(m, surfaces), "s22", 22).neighbors
+        tied = [(s, c) for s, c in got if s in {surfaces[i] for i in copies}]
+        assert len({c for _, c in tied}) == 1
+        assert [s for s, _ in tied] == sorted(surfaces[i] for i in copies)
+        assert got[[s for s, _ in got].index(tied[0][0]):][:len(copies)] == tied
 
     def test_agrees_with_pairwise_oracle(self):
         rng = np.random.default_rng(7)

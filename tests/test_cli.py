@@ -1,11 +1,13 @@
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
 from mathemb.cli import main
 
-from conftest import COLLECTION_PATH, QRELS_PATH, QUERIES_PATH, run_full_pipeline
+from conftest import COLLECTION_PATH, QRELS_PATH, QUERIES_PATH, ROOT, run_full_pipeline
 
 
 def test_tokenize_stdin_stdout(monkeypatch, capsys):
@@ -52,7 +54,7 @@ def test_dump_config_resolves_and_exits(capsys):
     cfg = json.loads(capsys.readouterr().out)
     assert cfg["method"] == "lm"
     assert cfg["alpha"] == 4.0
-    assert cfg["mu"] == 2000.0
+    assert cfg["mu"] is None        # search takes the mu stored by index-text
     assert cfg["top"] == 1000
 
 
@@ -79,6 +81,15 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "mathemb" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["mathemb", "mathemb.cli"])
+def test_python_dash_m(module):
+    done = subprocess.run([sys.executable, "-m", module, "--version"],
+                          env={"PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == "mathemb 0.1.0"
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +167,56 @@ class TestPipeline:
                      "--queries", str(QUERIES_PATH), "--method", "formula2vec",
                      "--out", str(tmp_path / "r.run")])
         assert code == 2
+
+    def run_lines(self, path):
+        return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+    def search(self, pipeline, out, method, *extra, queries=QUERIES_PATH):
+        return main(["search", "--store", str(pipeline["store"]), "--queries", str(queries),
+                     "--method", method, "--model", str(pipeline["f2v"]),
+                     "--index", str(pipeline["index"]), "--out", str(out), *extra])
+
+    def test_search_mu_defaults_to_index_mu(self, pipeline, tmp_path):
+        index5 = tmp_path / "mu5.index"
+        assert main(["index-text", "--store", str(pipeline["store"]), "--out", str(index5),
+                     "--mu", "5"]) == 0
+        runs = {}
+        for name, extra in (("default", []), ("5", ["--mu", "5"]), ("2000", ["--mu", "2000"])):
+            out = tmp_path / f"{name}.run"
+            assert main(["search", "--store", str(pipeline["store"]),
+                         "--queries", str(QUERIES_PATH), "--method", "lm",
+                         "--index", str(index5), "--out", str(out), *extra]) == 0
+            runs[name] = self.run_lines(out)
+        assert runs["default"] == runs["5"]
+        assert runs["default"] != runs["2000"]
+
+    @pytest.mark.parametrize("method", ["formula2vec", "combined"])
+    def test_query_without_usable_formulae_does_not_abort(self, pipeline, tmp_path, capsys,
+                                                          method):
+        # k1 has no formula, k2 only an out-of-vocabulary one
+        extra = [{"query_id": "k1", "keywords": ["w1"], "formulas": []},
+                 {"query_id": "k2", "keywords": ["integral"], "formulas": ["\\nosuchsymbol"]}]
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(QUERIES_PATH.read_text().rstrip("\n") + "\n"
+                           + "".join(json.dumps(q) + "\n" for q in extra))
+        assert self.search(pipeline, tmp_path / "base.run", method) == 0
+        capsys.readouterr()
+        assert self.search(pipeline, tmp_path / "k.run", method, queries=queries) == 0
+        assert capsys.readouterr().err == (
+            "warning: query k1 has no usable formulae\n"
+            "warning: query k2 has no usable formulae\n")
+        lines = self.run_lines(tmp_path / "k.run")
+        assert [ln for ln in lines if ln.split()[0] not in ("k1", "k2")] == \
+            self.run_lines(tmp_path / "base.run")
+        assert self.search(pipeline, tmp_path / "lm.run", "lm", queries=queries) == 0
+        lm = self.run_lines(tmp_path / "lm.run")
+        for qid in ("k1", "k2"):
+            got = [ln.split()[2] for ln in lines if ln.split()[0] == qid]
+            if method == "formula2vec":
+                assert got == []
+            else:
+                assert got == [ln.split()[2] for ln in lm if ln.split()[0] == qid]
+                assert len(got) > 1
 
     def test_evaluate_to_stdout(self, pipeline, capsys):
         assert main(["evaluate", "--run", str(pipeline["run_lm"]),

@@ -5,8 +5,9 @@ import pytest
 
 from mathemb.analysis import cosine
 from mathemb.corpus import build_vocabulary
+from mathemb.cli import main
 from mathemb.embeddings import (
-    EmbeddingTable, Mode, TrainingConfig, cbow_step, infer_vector, load_table,
+    EmbeddingTable, Mode, TrainingConfig, cbow_step, infer_vector, infer_vectors, load_table,
     nce_loss, pvdm_step, save_table, train_formula2vec, train_symbol2vec,
 )
 from mathemb.errors import (
@@ -15,7 +16,7 @@ from mathemb.errors import (
 from mathemb.tokenizer import TokenizedFormula, tokenize
 
 from conftest import make_cluster_corpus
-from oracles import central_difference
+from oracles import central_difference, oracle_infer_vector
 
 
 def sigma(x):
@@ -318,6 +319,44 @@ class TestInference:
         dim = trained_formula_table.config.dim
         rng = np.random.default_rng(99)
         np.testing.assert_array_equal(v, rng.uniform(-0.5 / dim, 0.5 / dim, dim))
+        batch = infer_vectors([tokenize("x + 1"), toks], trained_formula_table, [5, 99], steps=0)
+        np.testing.assert_array_equal(batch[1], v)
+
+    def test_matches_single_position_oracle(self, trained_formula_table, fixture_collection):
+        formulae = list(fixture_collection.formulas.values())[:8]
+        got = infer_vectors([f.tokens for f in formulae], trained_formula_table,
+                            range(8), steps=3, lr=0.05)
+        for seed, (f, vec) in enumerate(zip(formulae, got)):
+            want = oracle_infer_vector(f.surfaces, trained_formula_table, 3, 0.05, seed)
+            np.testing.assert_allclose(vec, want, rtol=0, atol=1e-12)
+
+    def test_batch_equals_lone_inference_in_any_order(self, trained_formula_table,
+                                                      fixture_collection):
+        formulae = list(fixture_collection.formulas.values())
+        seeds = [100 + i for i in range(len(formulae))]
+        alone = [infer_vector(f.tokens, trained_formula_table, steps=4, seed=s)
+                 for f, s in zip(formulae, seeds)]
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            # shuffled, a random subset, and every formula repeated past one block
+            pick = list(rng.permutation(len(formulae)))[:int(rng.integers(2, len(formulae)))]
+            pick = pick * (1 + 70 // len(pick))
+            got = infer_vectors([formulae[i].tokens for i in pick], trained_formula_table,
+                                [seeds[i] for i in pick], steps=4)
+            for i, vec in zip(pick, got):
+                np.testing.assert_allclose(vec, alone[i], rtol=0, atol=1e-12)
+
+    def test_duplicates_in_a_batch_are_bit_identical(self, trained_formula_table):
+        toks = [tokenize("\\sin x + \\cos y = 1"), tokenize("a + b = c"),
+                tokenize("\\sin x + \\cos y = 1")] * 3
+        got = infer_vectors(toks, trained_formula_table, [11, 12, 11] * 3, steps=5)
+        for i, vec in enumerate(got):
+            assert np.array_equal(vec, got[1 if i % 3 == 1 else 0])
+
+    def test_all_oov_formula_in_a_batch_is_none(self, trained_formula_table):
+        got = infer_vectors([tokenize("\\nosuch"), tokenize("a + b")],
+                            trained_formula_table, [1, 2], steps=2)
+        assert got[0] is None and np.isfinite(got[1]).all()
 
     def test_oov_tokens_skipped(self, trained_formula_table):
         toks = tokenize("a + b \\notinvocab = c")
@@ -384,6 +423,39 @@ class TestPersistence:
         save_table(trained_symbol_table, tmp_path / "b")
         for ext in (".wv.txt", ".ctx.txt", ".meta.txt"):
             assert (tmp_path / f"a{ext}").read_bytes() == (tmp_path / f"b{ext}").read_bytes()
+
+    @pytest.mark.parametrize("ext,line,edit", [
+        (".wv.txt", 3, lambda row: row.rsplit(" ", 1)[0]),
+        (".ctx.txt", 4, lambda row: row.rsplit(" ", 1)[0] + " nan"),
+        (".dv.txt", 5, lambda row: row + " 0.5"),
+    ], ids=["wv-entry-short", "ctx-nan-entry", "dv-entry-too-many"])
+    def test_corrupt_row_rejected_with_line(self, trained_formula_table, tmp_path, capsys,
+                                            ext, line, edit):
+        prefix = tmp_path / "model"
+        save_table(trained_formula_table, prefix)
+        path = tmp_path / f"model{ext}"
+        lines = path.read_text().splitlines()
+        lines[line - 1] = edit(lines[line - 1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord, match=f"model{ext}:{line}:"):
+            load_table(prefix)
+        assert main(["neighbors", "--model", str(prefix), "--symbol", "a"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_docvec_dim_must_match_word_vectors(self, trained_formula_table, tmp_path):
+        prefix = tmp_path / "model"
+        save_table(trained_formula_table, prefix)
+        path = tmp_path / "model.dv.txt"
+        lines = path.read_text().splitlines()
+        body = [i for i, ln in enumerate(lines) if i > 0 and not ln.startswith("#")]
+        n, dim = lines[body[0]].split()
+        lines[body[0]] = f"{n} {int(dim) - 1}"
+        for i in body[1:]:
+            lines[i] = lines[i].rsplit(" ", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord, match="dim"):
+            load_table(prefix)
+        assert main(["neighbors", "--model", str(prefix), "--symbol", "a"]) == 1
 
     def test_tampered_meta_rejected(self, trained_symbol_table, tmp_path):
         prefix = tmp_path / "model"

@@ -305,6 +305,24 @@ class TestRankPages:
                            provider=provider, index=fixture_index)
             assert a.page_ids() == b.page_ids()
 
+    def test_pages_with_identical_formula_content_tie_exactly(
+            self, fixture_collection, fixture_queries, provider):
+        # two extra pages whose unseen formulae repeat one content (inferred
+        # once, by content) among the fixture pages' trained formulae
+        coll = Collection()
+        coll.pages = list(fixture_collection.pages)
+        coll.formulas = dict(fixture_collection.formulas)
+        latex = ["\\sin x \\cos x = \\frac { 1 } { 2 } \\sin 2 x", "a ^ 2 + b ^ 2"]
+        for pid in ("dupA", "dupB"):
+            fids = [f"{pid}#f{k}" for k in range(len(latex))]
+            for fid, tex in zip(fids, latex):
+                coll.formulas[fid] = TokenizedFormula(fid, tokenize(tex))
+            coll.pages.append(Page(pid, pid, [], fids))
+        for q in fixture_queries:
+            scores = {e.page_id: e.C for e in
+                      rank_pages(q, coll, RankMethod.FORMULA2VEC, provider=provider).entries}
+            assert scores["dupA"] == scores["dupB"]
+
     def test_formula_free_page_ranks_below_formula_pages(self, fixture_collection,
                                                          fixture_queries, provider):
         rl = rank_pages(fixture_queries[0], fixture_collection, RankMethod.FORMULA2VEC,
