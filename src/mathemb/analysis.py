@@ -2,10 +2,10 @@
 neighbors, and a 2-D PCA projection suitable for external plotting.
 
 Neighbor ranking uses the input vectors only: one product of the
-L2-normalised candidate rows with the normalised query row.  PCA is
-implemented by power iteration with deflation so results need no external
-solver and the sign convention (largest-magnitude entry of each component is
-positive) keeps golden files stable.
+L2-normalised candidate rows with the normalised query row.  PCA takes the
+leading eigenvectors of the covariance matrix (np.linalg.eigh); the sign
+convention (largest-magnitude entry of each component is positive) keeps
+golden files stable.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from .embeddings import EmbeddingTable
 from .errors import (
     DimensionMismatch, InsufficientRows, NonFiniteVector, UnknownSurface, ZeroVector,
 )
-
-_PI_TOL = 1e-9
-_PI_MAX_ITER = 1000
 
 
 def _scaled_rows(x: np.ndarray) -> np.ndarray:
@@ -114,24 +111,6 @@ class PCAProjection:
     eigenvalues: np.ndarray
 
 
-def _power_iteration(cov: np.ndarray, rng: np.random.Generator):
-    """Leading eigenpair of a PSD matrix; (0, zeros) when there is no variance."""
-    dim = cov.shape[0]
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    for _ in range(_PI_MAX_ITER):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm < 1e-15:
-            return 0.0, np.zeros(dim)
-        w /= norm
-        if np.linalg.norm(w - v) < _PI_TOL:
-            v = w
-            break
-        v = w
-    return float(v @ cov @ v), v
-
-
 def pca_matrix(x: np.ndarray, components: int):
     """PCA of the rows of x: (projections, components, eigenvalues).
 
@@ -151,19 +130,18 @@ def pca_matrix(x: np.ndarray, components: int):
     else:
         cov = np.zeros((dim, dim))
 
-    rng = np.random.default_rng(0)
-    comps = np.zeros((components, dim))
+    vals, vecs = np.linalg.eigh(cov)          # ascending eigenvalues
+    k = min(components, dim)
     eigs = np.zeros(components)
-    for c in range(components):
-        lam, v = _power_iteration(cov, rng)
-        if lam > 0.0:
-            j = int(np.argmax(np.abs(v)))
-            if v[j] < 0:
-                v = -v
-            comps[c] = v
-            eigs[c] = lam
-            cov = cov - lam * np.outer(v, v)
-        # zero eigenvalue: component stays zero, projections collapse to 0
+    comps = np.zeros((components, dim))
+    eigs[:k] = vals[::-1][:k]
+    comps[:k] = vecs[:, ::-1][:, :k].T
+    # directions whose variance is rounding noise, or beyond dim, stay zero
+    flat = eigs <= dim * np.finfo(np.float64).eps * max(vals[-1], 0.0)
+    eigs[flat] = 0.0
+    comps[flat] = 0.0
+    peaks = comps[np.arange(components), np.argmax(np.abs(comps), axis=1)]
+    comps[peaks < 0] *= -1
     return centered @ comps.T, comps, eigs
 
 

@@ -18,8 +18,8 @@ import argparse
 import json
 import sys
 
-from . import __version__
-from .errors import MathembError
+from . import __version__, artifacts
+from .errors import MalformedRecord, MathembError
 
 # dests holding filesystem paths; excluded from artifact headers so outputs
 # do not depend on where they were produced
@@ -47,8 +47,6 @@ def _add_training_flags(p, default_dim):
                    help="drop surfaces rarer than this (default 1)")
     p.add_argument("--sample-power", type=float, default=0.75,
                    help="negative-sampling distribution exponent (default 0.75)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="training threads; >1 is non-deterministic (default 1)")
 
 
 def build_parser():
@@ -183,20 +181,20 @@ def _resolved_config(args) -> dict:
 
 
 def _meta(args, seed=None) -> dict:
+    """Artifact meta comment fields, keys sorted."""
     cfg = {k: v for k, v in _resolved_config(args).items() if k not in _PATH_DESTS}
     meta = {"tool": "mathemb", "version": __version__}
     if seed is not None:
         meta["seed"] = seed
     elif "seed" in cfg:
         meta["seed"] = cfg["seed"]
-    meta["config"] = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return meta
+    meta["config"] = artifacts.to_json(cfg)
+    return dict(sorted(meta.items()))
 
 
 def _write_or_print(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        artifacts.write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -253,7 +251,7 @@ def _train_common(args, mode):
         seed=args.seed, mode=mode,
     )
     trainer = train_symbol2vec if mode is Mode.SYMBOL2VEC else train_formula2vec
-    table = trainer(corpus, vocab, config, workers=args.workers)
+    table = trainer(corpus, vocab, config)
     save_table(table, args.out)
     loss = f"{table.epoch_losses[-1]:.4f}" if table.epoch_losses else "n/a"
     print(f"vocab={len(vocab)} dim={config.dim} epochs={config.epochs} "
@@ -279,14 +277,12 @@ def _cmd_neighbors(args) -> int:
 
     table = load_table(args.model)
     symbols = args.symbol if args.symbol else list(table.vocab.surfaces)
-    meta = _meta(args, seed=table.config.seed)
-    lines = ["# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta))]
-    lines.append("surface\trank\tneighbor\tcosine")
+    lines = ["surface\trank\tneighbor\tcosine"]
     for s in symbols:
         nl = nearest_neighbors(table, s, args.k)
         for rank, (other, cos) in enumerate(nl.neighbors, start=1):
             lines.append(f"{s}\t{rank}\t{other}\t{cos:.6f}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    _write_or_print(artifacts.render(lines, meta=_meta(args, seed=table.config.seed)), args.out)
     return 0
 
 
@@ -298,12 +294,10 @@ def _cmd_pca(args) -> int:
     proj = pca_project(table, components=args.components, l2_normalize=args.l2_normalize)
     names = ["x", "y", "z"][:args.components] if args.components <= 3 else [
         f"c{i+1}" for i in range(args.components)]
-    meta = _meta(args, seed=table.config.seed)
-    lines = ["# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta))]
-    lines.append("\t".join(["surface"] + names))
+    lines = ["\t".join(["surface"] + names)]
     for surface, coords in proj.coords:
         lines.append("\t".join([surface] + [f"{c:.6f}" for c in coords]))
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    _write_or_print(artifacts.render(lines, meta=_meta(args, seed=table.config.seed)), args.out)
     return 0
 
 
@@ -330,17 +324,23 @@ def _cmd_search(args) -> int:
     provider = None
     formulas = None
     index = None
+    if method in (RankMethod.LM, RankMethod.COMBINED):
+        if not args.index:
+            raise ValueError(f"--index is required for method {method.value}")
+        index = TextIndex.load(args.index)
+        pages = {p.page_id for p in coll.pages}
+        if pages != index.page_tf.keys():
+            raise MalformedRecord(
+                f"{args.index} does not index the pages of {args.store}: "
+                f"{len(pages - index.page_tf.keys())} pages only in the store, "
+                f"{len(index.page_tf.keys() - pages)} only in the index")
+        if args.mu is None:
+            args.mu = index.mu
     if method in (RankMethod.FORMULA2VEC, RankMethod.COMBINED):
         if not args.model:
             raise ValueError(f"--model is required for method {method.value}")
         provider = FormulaVectorProvider(load_table(args.model), infer_steps=args.steps)
         formulas = FormulaMatrix.build(coll.pages, coll, provider, queries)
-    if method in (RankMethod.LM, RankMethod.COMBINED):
-        if not args.index:
-            raise ValueError(f"--index is required for method {method.value}")
-        index = TextIndex.load(args.index)
-        if args.mu is None:
-            args.mu = index.mu
     ranked = [rank_pages(q, coll, method, provider=provider, index=index,
                          alpha=args.alpha, mu=args.mu, formulas=formulas) for q in queries]
     for rl in ranked:
@@ -359,6 +359,8 @@ def _cmd_evaluate(args) -> int:
                           threshold=args.threshold)
     for qid in report.queries_skipped:
         print(f"warning: query {qid} missing from qrels, skipped", file=sys.stderr)
+    for qid in report.queries_missing:
+        print(f"warning: judged query {qid} missing from the run, scored 0", file=sys.stderr)
     _write_or_print(report_tsv(report, _meta(args)), args.out)
     return 0
 
@@ -383,7 +385,7 @@ def _cmd_sweep(args) -> int:
         qrels=parse_qrels(args.qrels),
         config=config, mu=args.mu, alpha=args.alpha, infer_steps=args.steps,
         min_count=args.min_count, power=args.sample_power,
-        ks=_parse_ks(args.ks), threshold=args.threshold, workers=args.workers,
+        ks=_parse_ks(args.ks), threshold=args.threshold,
     )
     _write_or_print(sweep_tsv(axis, results, ks=_parse_ks(args.ks), meta=_meta(args)),
                     args.out)

@@ -5,20 +5,21 @@ Collections and queries are JSON-lines files:
   collection:  {"page_id": ..., "title": ..., "text": ..., "formulas": [latex, ...]}
   queries:     {"query_id": ..., "keywords": [...], "formulas": [latex, ...]}
 
-Persisted stores are plain text with a version header line so they can be
-inspected and diffed.  All serialization is byte-deterministic: sorted JSON
-keys, no timestamps.
+Persisted stores (the collection store and the training corpus) are
+artifacts in the layout of artifacts.py: a version header line, then one
+JSON record per line, so they can be inspected and diffed.  All
+serialization is byte-deterministic: sorted JSON keys, no timestamps.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from .errors import (
     DuplicatePageId,
     DuplicateQueryId,
@@ -26,7 +27,7 @@ from .errors import (
     MalformedRecord,
     MathembError,
 )
-from .tokenizer import TokenizedFormula, tokenize
+from .tokenizer import SymbolToken, TokenizedFormula, classify, tokenize
 
 CORPUS_HEADER = "MATHEMB-CORPUS v1"
 TRAIN_HEADER = "MATHEMB-TRAINCORPUS v1"
@@ -62,12 +63,6 @@ class Collection:
     def formula_count(self) -> int:
         return len(self.formulas)
 
-    def page(self, page_id: str) -> Page:
-        for p in self.pages:
-            if p.page_id == page_id:
-                return p
-        raise KeyError(page_id)
-
 
 def normalize_text(text: str, stopwords: frozenset[str] = frozenset()) -> list[str]:
     """Lowercase and split on non-alphanumeric runs; no stemming."""
@@ -82,94 +77,77 @@ def load_stopwords(path) -> frozenset[str]:
         return frozenset(w.strip().lower() for w in fh if w.strip())
 
 
-def _check_id(value, line_no: int, kind: str) -> str:
+def _check_id(value, kind: str) -> str:
     if not isinstance(value, str) or not value or any(c.isspace() for c in value):
         raise MalformedRecord(
-            f"line {line_no}: {kind} must be a non-empty string without whitespace, got {value!r}"
-        )
+            f"{kind} must be a non-empty string without whitespace, got {value!r}")
     return value
 
 
-def _parse_jsonl(path):
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"line {line_no}: invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise MalformedRecord(f"line {line_no}: record is not an object")
-            yield line_no, record
+def _string_list(rec: dict, key: str) -> list[str]:
+    values = rec.get(key, [])
+    if not isinstance(values, list) or any(not isinstance(v, str) for v in values):
+        raise MalformedRecord(f"{key} must be a list of strings")
+    return values
+
+
+def _tokenized(latexes, id_prefix: str) -> list[TokenizedFormula]:
+    out = []
+    for k, latex in enumerate(latexes):
+        try:
+            tokens = tokenize(latex)
+        except MathembError as exc:
+            raise MalformedRecord(f"formula {k}: {exc}") from None
+        out.append(TokenizedFormula(f"{id_prefix}#f{k}", tokens))
+    return out
 
 
 def ingest_pages(path, stopwords: frozenset[str] = frozenset()) -> Collection:
     """Read a collection file, tokenizing every formula.
 
     Pages without formulae are kept; they are still rankable by text.
-    Raises MalformedRecord (with the line number) or DuplicatePageId, and
+    Raises MalformedRecord or DuplicatePageId, with the file and line, and
     aborts on the first bad record.
     """
     coll = Collection()
     seen: set[str] = set()
-    for line_no, rec in _parse_jsonl(path):
-        page_id = _check_id(rec.get("page_id"), line_no, "page_id")
+
+    def page(rec) -> Page:
+        page_id = _check_id(rec.get("page_id"), "page_id")
         if page_id in seen:
-            raise DuplicatePageId(f"line {line_no}: duplicate page_id {page_id!r}")
+            raise DuplicatePageId(f"duplicate page_id {page_id!r}")
         seen.add(page_id)
         title = rec.get("title", "")
         if not isinstance(title, str):
-            raise MalformedRecord(f"line {line_no}: title must be a string")
+            raise MalformedRecord("title must be a string")
         text = rec.get("text", "")
         if not isinstance(text, str):
-            raise MalformedRecord(f"line {line_no}: text must be a string")
-        formulas = rec.get("formulas", [])
-        if not isinstance(formulas, list) or any(not isinstance(f, str) for f in formulas):
-            raise MalformedRecord(f"line {line_no}: formulas must be a list of strings")
-        formula_ids = []
-        for k, latex in enumerate(formulas):
-            fid = f"{page_id}#f{k}"
-            try:
-                tokens = tokenize(latex)
-            except MathembError as exc:
-                raise MalformedRecord(f"line {line_no}: formula {k}: {exc}") from None
-            coll.formulas[fid] = TokenizedFormula(fid, tokens)
-            formula_ids.append(fid)
-        coll.pages.append(Page(page_id, title, normalize_text(text, stopwords), formula_ids))
+            raise MalformedRecord("text must be a string")
+        formulae = _tokenized(_string_list(rec, "formulas"), page_id)
+        coll.formulas.update((f.id, f) for f in formulae)
+        return Page(page_id, title, normalize_text(text, stopwords), [f.id for f in formulae])
+
+    coll.pages = artifacts.read_records(path, page)
     return coll
 
 
 def ingest_queries(path, stopwords: frozenset[str] = frozenset()) -> list[Query]:
     """Read a query file; keywords get the same normalization as page text."""
-    queries: list[Query] = []
     seen: set[str] = set()
-    for line_no, rec in _parse_jsonl(path):
-        query_id = _check_id(rec.get("query_id"), line_no, "query_id")
+
+    def query(rec) -> Query:
+        query_id = _check_id(rec.get("query_id"), "query_id")
         if query_id in seen:
-            raise DuplicateQueryId(f"line {line_no}: duplicate query_id {query_id!r}")
+            raise DuplicateQueryId(f"duplicate query_id {query_id!r}")
         seen.add(query_id)
-        raw_keywords = rec.get("keywords", [])
-        if not isinstance(raw_keywords, list) or any(not isinstance(k, str) for k in raw_keywords):
-            raise MalformedRecord(f"line {line_no}: keywords must be a list of strings")
-        keywords: list[str] = []
-        for kw in raw_keywords:
-            keywords.extend(normalize_text(kw, stopwords))
-        formulas = rec.get("formulas", [])
-        if not isinstance(formulas, list) or any(not isinstance(f, str) for f in formulas):
-            raise MalformedRecord(f"line {line_no}: formulas must be a list of strings")
-        formulae = []
-        for k, latex in enumerate(formulas):
-            try:
-                tokens = tokenize(latex)
-            except MathembError as exc:
-                raise MalformedRecord(f"line {line_no}: formula {k}: {exc}") from None
-            formulae.append(TokenizedFormula(f"{query_id}#f{k}", tokens))
+        keywords = [term for kw in _string_list(rec, "keywords")
+                    for term in normalize_text(kw, stopwords)]
+        formulae = _tokenized(_string_list(rec, "formulas"), query_id)
         if not keywords and not formulae:
-            raise MalformedRecord(f"line {line_no}: query has neither keywords nor formulas")
-        queries.append(Query(query_id, keywords, formulae))
-    return queries
+            raise MalformedRecord("query has neither keywords nor formulas")
+        return Query(query_id, keywords, formulae)
+
+    return artifacts.read_records(path, query)
 
 
 def filter_corpus(formulas) -> list[TokenizedFormula]:
@@ -249,91 +227,54 @@ def build_vocabulary(formulas, min_count: int = 1, power: float = 0.75) -> Vocab
 # persistence
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+def _formula_record(rec) -> TokenizedFormula:
+    return TokenizedFormula(rec["id"], [SymbolToken(s, classify(s)) for s in rec["surfaces"]])
 
 
-def _header_lines(meta: dict | None) -> list[str]:
-    if not meta:
-        return []
-    return ["# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta))]
+def _store_record(rec) -> Page | TokenizedFormula:
+    kind = rec["kind"]
+    if kind == "page":
+        return Page(rec["page_id"], rec["title"], list(rec["text_terms"]),
+                    list(rec["formula_ids"]))
+    if kind == "formula":
+        return _formula_record(rec)
+    raise MalformedRecord(f"unknown record kind {kind!r}")
 
 
 def save_collection(coll: Collection, path, meta: dict | None = None) -> None:
-    lines = [CORPUS_HEADER]
-    lines += _header_lines(meta)
-    for p in coll.pages:
-        lines.append(_dump({
-            "kind": "page",
-            "page_id": p.page_id,
-            "title": p.title,
-            "text_terms": p.text_terms,
-            "formula_ids": p.formula_ids,
-        }))
-    for fid, f in coll.formulas.items():
-        lines.append(_dump({"kind": "formula", "id": fid, "surfaces": f.surfaces}))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the collection store; meta keys go into its comment line in order."""
+    body = [artifacts.to_json({
+        "kind": "page",
+        "page_id": p.page_id,
+        "title": p.title,
+        "text_terms": p.text_terms,
+        "formula_ids": p.formula_ids,
+    }) for p in coll.pages]
+    body += [artifacts.to_json({"kind": "formula", "id": fid, "surfaces": f.surfaces})
+             for fid, f in coll.formulas.items()]
+    artifacts.write(path, body, CORPUS_HEADER, meta)
 
 
 def load_collection(path) -> Collection:
-    from .tokenizer import SymbolToken, classify
-
     coll = Collection()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CORPUS_HEADER:
-            raise MalformedRecord(f"line 1: expected header {CORPUS_HEADER!r}, got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"line {line_no}: invalid JSON ({exc.msg})") from None
-            kind = rec.get("kind")
-            if kind == "page":
-                coll.pages.append(Page(
-                    rec["page_id"], rec["title"], list(rec["text_terms"]), list(rec["formula_ids"]),
-                ))
-            elif kind == "formula":
-                tokens = [SymbolToken(s, classify(s)) for s in rec["surfaces"]]
-                coll.formulas[rec["id"]] = TokenizedFormula(rec["id"], tokens)
-            else:
-                raise MalformedRecord(f"line {line_no}: unknown record kind {kind!r}")
+    for item in artifacts.read_records(path, _store_record, CORPUS_HEADER):
+        if isinstance(item, Page):
+            coll.pages.append(item)
+        else:
+            coll.formulas[item.id] = item
     for p in coll.pages:
         for fid in p.formula_ids:
             if fid not in coll.formulas:
-                raise MalformedRecord(f"page {p.page_id!r} references missing formula {fid!r}")
+                raise MalformedRecord(f"{path}: page {p.page_id!r} references missing "
+                                      f"formula {fid!r}")
     return coll
 
 
 def save_training_corpus(formulas, path, meta: dict | None = None) -> None:
-    lines = [TRAIN_HEADER]
-    lines += _header_lines(meta)
-    for f in formulas:
-        lines.append(_dump({"id": f.id, "surfaces": f.surfaces}))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the training corpus; meta keys go into its comment line in order."""
+    body = [artifacts.to_json({"id": f.id, "surfaces": f.surfaces}) for f in formulas]
+    artifacts.write(path, body, TRAIN_HEADER, meta)
 
 
 def load_training_corpus(path) -> list[TokenizedFormula]:
-    from .tokenizer import SymbolToken, classify
-
-    out: list[TokenizedFormula] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != TRAIN_HEADER:
-            raise MalformedRecord(f"line 1: expected header {TRAIN_HEADER!r}, got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"line {line_no}: invalid JSON ({exc.msg})") from None
-            tokens = [SymbolToken(s, classify(s)) for s in rec["surfaces"]]
-            out.append(TokenizedFormula(rec["id"], tokens))
-    return out
+    return artifacts.read_records(path, _formula_record, TRAIN_HEADER)

@@ -11,9 +11,7 @@ mean of the formula vector together with the context token input vectors
 every row that entered the mean, so a finite-difference check of the applied
 updates reproduces the analytic gradient.
 
-Training is deterministic for a given (corpus, config, seed) when workers=1;
-the optional multi-worker mode updates shared tables without locks and is
-only statistically reproducible.
+Training is deterministic for a given (corpus, config, seed).
 
 Inference of unseen formulae (infer_vectors, and infer_vector for one)
 applies the same PV-DM update to a new formula vector alone, the trained
@@ -25,15 +23,13 @@ seeded generator.
 
 from __future__ import annotations
 
-import json
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, artifacts
 from .corpus import Vocabulary
 from .errors import (
     DimensionMismatch,
@@ -253,7 +249,7 @@ def _context(seq: np.ndarray, pos: int, b: int) -> np.ndarray:
 
 
 def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
-           with_docs: bool, workers: int = 1) -> EmbeddingTable:
+           with_docs: bool) -> EmbeddingTable:
     formulas = list(formulas)
     if not formulas:
         raise EmptyCorpus("training corpus is empty")
@@ -283,10 +279,6 @@ def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
         skipped_short=skipped_short,
     )
 
-    if workers > 1:
-        _train_parallel(table, trainable, with_docs, workers)
-        return table
-
     positions_per_epoch = sum(len(seq) for _, seq in trainable)
     total_steps = config.epochs * positions_per_epoch
     lr_span = config.lr_start - config.lr_end
@@ -314,56 +306,18 @@ def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
     return table
 
 
-def _train_parallel(table: EmbeddingTable, trainable, with_docs: bool, workers: int):
-    """Lock-free shared-table training; run-dependent by design."""
-    config = table.config
-    shards = [trainable[w::workers] for w in range(workers)]
-    lr_span = config.lr_start - config.lr_end
-
-    def work(worker_id: int):
-        shard = shards[worker_id]
-        if not shard:
-            return
-        wrng = np.random.default_rng((config.seed, worker_id))
-        per_epoch = sum(len(seq) for _, seq in shard)
-        total = max(1, config.epochs * per_epoch - 1)
-        step = 0
-        for _ in range(config.epochs):
-            for row, seq in shard:
-                doc_row = row if with_docs else None
-                for pos in range(len(seq)):
-                    lr = config.lr_start - lr_span * (step / total)
-                    step += 1
-                    b = int(wrng.integers(1, config.window + 1))
-                    ctx = _context(seq, pos, b)
-                    if len(ctx) == 0 and not with_docs:
-                        continue
-                    target = int(seq[pos])
-                    negs = _sample_negatives(table.vocab, wrng, config.negatives, target)
-                    _step(table.input_vectors, table.context_vectors,
-                          table.formula_vectors, doc_row, ctx, target, negs, lr)
-
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
-
-def train_symbol2vec(formulas, vocab: Vocabulary, config: TrainingConfig,
-                     workers: int = 1) -> EmbeddingTable:
+def train_symbol2vec(formulas, vocab: Vocabulary, config: TrainingConfig) -> EmbeddingTable:
     """Train token embeddings with CBOW + negative sampling."""
     if config.mode is not Mode.SYMBOL2VEC:
         raise ValueError("config.mode must be SYMBOL2VEC")
-    return _train(formulas, vocab, config, with_docs=False, workers=workers)
+    return _train(formulas, vocab, config, with_docs=False)
 
 
-def train_formula2vec(formulas, vocab: Vocabulary, config: TrainingConfig,
-                      workers: int = 1) -> EmbeddingTable:
+def train_formula2vec(formulas, vocab: Vocabulary, config: TrainingConfig) -> EmbeddingTable:
     """Train per-formula vectors with PV-DM (formula row averaged into the context)."""
     if config.mode is not Mode.FORMULA2VEC:
         raise ValueError("config.mode must be FORMULA2VEC")
-    return _train(formulas, vocab, config, with_docs=True, workers=workers)
+    return _train(formulas, vocab, config, with_docs=True)
 
 
 # Formulae inferred together per block.  Inference keeps per-block working
@@ -485,75 +439,30 @@ def infer_vector(tokens, table: EmbeddingTable, steps: int = 50,
 # persistence (word2vec-style text interchange)
 
 
-def _format_row(label: str, row: np.ndarray) -> str:
-    return label + " " + " ".join(f"{x:.6f}" for x in row)
-
-
-def _write_vector_file(path, labels, matrix, first_lines, meta_comment):
-    lines = list(first_lines)
-    if meta_comment:
-        lines.append(meta_comment)
-    lines.append(f"{matrix.shape[0]} {matrix.shape[1]}")
-    for label, row in zip(labels, matrix):
-        lines.append(_format_row(label, row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _read_vector_file(path, expect_first=None):
-    """Labels and rows of a word2vec-style text file.
-
-    Raises MalformedRecord, naming the file and line, on a bad count line, a
-    row whose width differs from the count line, an entry that is not a
-    finite number, or fewer rows than the count line promises.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    pos = 0
-    if expect_first is not None:
-        if not lines or lines[0] != expect_first:
-            raise MalformedRecord(f"{path}: expected header {expect_first!r}")
-        pos = 1
-    while pos < len(lines) and lines[pos].startswith("#"):
-        pos += 1
-    try:
-        n, dim = (int(x) for x in lines[pos].split())
-    except (IndexError, ValueError):
-        raise MalformedRecord(f"{path}:{pos + 1}: expected a count line 'rows dim'") from None
-    if len(lines) - pos - 1 < n:
-        raise MalformedRecord(f"{path}: count line promises {n} rows, file has "
-                              f"{len(lines) - pos - 1}")
-    labels, rows = [], np.empty((n, dim))
-    for i in range(n):
-        lineno = pos + 2 + i
-        parts = lines[lineno - 1].split(" ")
-        if len(parts) != dim + 1:
-            raise MalformedRecord(f"{path}:{lineno}: {len(parts) - 1} entries, expected {dim}")
-        try:
-            rows[i] = [float(x) for x in parts[1:]]
-        except ValueError:
-            raise MalformedRecord(f"{path}:{lineno}: entry is not a number") from None
-        labels.append(parts[0])
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if len(bad):
-        raise MalformedRecord(f"{path}:{pos + 2 + bad[0]}: entry is not finite")
-    return labels, rows
+def _model_meta(payload) -> tuple[TrainingConfig, Vocabulary, str, bool]:
+    config = TrainingConfig.from_json_dict(payload["config"])
+    vocab = Vocabulary(
+        [s for s, _ in payload["vocab_counts"]],
+        [int(c) for _, c in payload["vocab_counts"]],
+        float(payload["sampling_power"]),
+    )
+    if vocab.fingerprint() != payload["vocab_fingerprint"]:
+        raise MalformedRecord("vocabulary fingerprint mismatch")
+    return config, vocab, payload["vocab_fingerprint"], bool(payload.get("has_formula_vectors"))
 
 
 def save_table(table: EmbeddingTable, prefix, meta: dict | None = None) -> None:
     """Write <prefix>.wv.txt / .ctx.txt / .dv.txt / .meta.txt."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    comment = (
-        f"# tool=mathemb version={__version__} seed={table.config.seed} "
-        f"config={json.dumps(table.config.to_json_dict(), sort_keys=True, separators=(',', ':'))}"
-    )
+    comment = {"tool": "mathemb", "version": __version__, "seed": table.config.seed,
+               "config": artifacts.to_json(table.config.to_json_dict())}
     surfaces = table.vocab.surfaces
-    _write_vector_file(f"{prefix}.wv.txt", surfaces, table.input_vectors, [], comment)
-    _write_vector_file(f"{prefix}.ctx.txt", surfaces, table.context_vectors, [], comment)
+    artifacts.write_vectors(f"{prefix}.wv.txt", surfaces, table.input_vectors, meta=comment)
+    artifacts.write_vectors(f"{prefix}.ctx.txt", surfaces, table.context_vectors, meta=comment)
     if table.formula_vectors is not None:
-        _write_vector_file(f"{prefix}.dv.txt", table.formula_ids, table.formula_vectors,
-                           [DOCVEC_HEADER], comment)
+        artifacts.write_vectors(f"{prefix}.dv.txt", table.formula_ids, table.formula_vectors,
+                                DOCVEC_HEADER, comment)
     payload = {
         "tool": "mathemb",
         "version": __version__,
@@ -566,39 +475,27 @@ def save_table(table: EmbeddingTable, prefix, meta: dict | None = None) -> None:
     }
     if meta:
         payload["extra"] = {str(k): str(v) for k, v in sorted(meta.items())}
-    with open(f"{prefix}.meta.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(MODEL_HEADER + "\n")
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    artifacts.write(f"{prefix}.meta.txt", [artifacts.to_json(payload)], MODEL_HEADER)
 
 
 def load_table(prefix) -> EmbeddingTable:
     prefix = Path(prefix)
-    with open(f"{prefix}.meta.txt", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != MODEL_HEADER:
-            raise MalformedRecord(f"{prefix}.meta.txt: expected header {MODEL_HEADER!r}")
-        payload = json.loads(fh.readline())
-    config = TrainingConfig.from_json_dict(payload["config"])
-    vocab = Vocabulary(
-        [s for s, _ in payload["vocab_counts"]],
-        [int(c) for _, c in payload["vocab_counts"]],
-        float(payload["sampling_power"]),
-    )
-    if vocab.fingerprint() != payload["vocab_fingerprint"]:
-        raise MalformedRecord(f"{prefix}.meta.txt: vocabulary fingerprint mismatch")
+    records = artifacts.read_records(f"{prefix}.meta.txt", _model_meta, MODEL_HEADER)
+    if not records:
+        raise MalformedRecord(f"{prefix}.meta.txt: no model record")
+    config, vocab, fingerprint, has_formula_vectors = records[0]
 
-    wv_labels, input_vectors = _read_vector_file(f"{prefix}.wv.txt")
+    wv_labels, input_vectors = artifacts.read_vectors(f"{prefix}.wv.txt")
     if wv_labels != vocab.surfaces:
         raise MalformedRecord(f"{prefix}.wv.txt: surfaces do not match the stored vocabulary")
-    ctx_labels, context_vectors = _read_vector_file(f"{prefix}.ctx.txt")
+    ctx_labels, context_vectors = artifacts.read_vectors(f"{prefix}.ctx.txt")
     if ctx_labels != vocab.surfaces or context_vectors.shape != input_vectors.shape:
         raise MalformedRecord(f"{prefix}.ctx.txt: rows do not match {prefix}.wv.txt")
 
     formula_vectors = None
     formula_ids = None
-    if payload.get("has_formula_vectors"):
-        formula_ids, formula_vectors = _read_vector_file(f"{prefix}.dv.txt",
-                                                         expect_first=DOCVEC_HEADER)
+    if has_formula_vectors:
+        formula_ids, formula_vectors = artifacts.read_vectors(f"{prefix}.dv.txt", DOCVEC_HEADER)
         if formula_vectors.shape[1] != input_vectors.shape[1]:
             raise MalformedRecord(f"{prefix}.dv.txt: dim {formula_vectors.shape[1]} differs "
                                   f"from {prefix}.wv.txt dim {input_vectors.shape[1]}")
@@ -606,5 +503,5 @@ def load_table(prefix) -> EmbeddingTable:
         config=config, vocab=vocab,
         input_vectors=input_vectors, context_vectors=context_vectors,
         formula_vectors=formula_vectors, formula_ids=formula_ids,
-        vocab_fingerprint=payload["vocab_fingerprint"],
+        vocab_fingerprint=fingerprint,
     )

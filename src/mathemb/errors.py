@@ -22,7 +22,8 @@ class UnterminatedCommand(MathembError):
 # --- corpus ---
 
 class MalformedRecord(MathembError):
-    """A collection/query line that does not parse; message carries the line number."""
+    """Input or artifact data that does not parse or does not add up; the
+    message starts with path:line, or with the path for a whole-file defect."""
 
 
 class DuplicatePageId(MathembError):

@@ -8,6 +8,10 @@ Conventions (fixed so numbers are comparable across runs):
   * AP and MRR binarize at grade >= threshold (default 1); AP divides by the
     total number of relevant pages in the judgments.
   * Queries with no relevant page score 0 and are excluded from the means.
+  * A judged query with a relevant page that the run leaves out scores 0 on
+    every metric and counts in the means (trec_eval's -c); the report
+    header counts these as missing.
+  * Run queries without judgments are skipped.
 
 Run lines are re-sorted by (score desc, page_id asc); the rank column in the
 file is informational only.
@@ -19,6 +23,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+from . import artifacts
 from .errors import MalformedQrelLine, MalformedRunLine
 
 METRIC_ORDER = ("NDCG", "P", "MAP", "MRR")
@@ -87,16 +92,17 @@ def parse_run(path) -> dict[str, list[tuple[str, float]]]:
                 continue
             parts = line.split()
             if len(parts) != 6:
-                raise MalformedRunLine(f"line {line_no}: expected 6 fields, got {len(parts)}")
+                raise MalformedRunLine(f"{path}:{line_no}: expected 6 fields, got {len(parts)}")
             qid, _, pid, rank, score, _tag = parts
             try:
                 int(rank)
                 score_val = float(score)
             except ValueError:
-                raise MalformedRunLine(f"line {line_no}: bad rank/score") from None
+                raise MalformedRunLine(f"{path}:{line_no}: bad rank/score") from None
             per_query = run.setdefault(qid, {})
             if pid in per_query:
-                raise MalformedRunLine(f"line {line_no}: duplicate page {pid!r} for query {qid!r}")
+                raise MalformedRunLine(
+                    f"{path}:{line_no}: duplicate page {pid!r} for query {qid!r}")
             per_query[pid] = score_val
     return {
         qid: sorted(scores.items(), key=lambda ps: (-ps[1], ps[0]))
@@ -114,17 +120,18 @@ def parse_qrels(path) -> dict[str, dict[str, int]]:
                 continue
             parts = line.split()
             if len(parts) != 4:
-                raise MalformedQrelLine(f"line {line_no}: expected 4 fields, got {len(parts)}")
+                raise MalformedQrelLine(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
             qid, _, pid, grade = parts
             try:
                 grade_val = int(grade)
             except ValueError:
-                raise MalformedQrelLine(f"line {line_no}: grade {grade!r} is not an integer") from None
+                raise MalformedQrelLine(
+                    f"{path}:{line_no}: grade {grade!r} is not an integer") from None
             if grade_val < 0:
-                raise MalformedQrelLine(f"line {line_no}: negative grade")
+                raise MalformedQrelLine(f"{path}:{line_no}: negative grade")
             per_query = qrels.setdefault(qid, {})
             if pid in per_query:
-                raise MalformedQrelLine(f"line {line_no}: duplicate judgment for ({qid}, {pid})")
+                raise MalformedQrelLine(f"{path}:{line_no}: duplicate judgment for ({qid}, {pid})")
             per_query[pid] = grade_val
     return qrels
 
@@ -141,6 +148,7 @@ class MetricReport:
     queries_scored: int
     queries_without_relevant: list[str] = field(default_factory=list)
     queries_skipped: list[str] = field(default_factory=list)
+    queries_missing: list[str] = field(default_factory=list)
 
     def metric_names(self) -> list[str]:
         names = [f"NDCG@{k}" for k in self.ks] + [f"P@{k}" for k in self.ks]
@@ -154,12 +162,12 @@ def evaluate_core(run: dict[str, list[tuple[str, float]]],
     ks = tuple(ks)
     per_query: dict[str, dict[str, float]] = {}
     skipped = [qid for qid in run if qid not in qrels]
+    missing = [qid for qid, grades in qrels.items()
+               if qid not in run and any(g >= threshold for g in grades.values())]
     no_relevant: list[str] = []
-    for qid in run:
-        if qid not in qrels:
-            continue
+    for qid in [qid for qid in run if qid in qrels] + missing:
         grades = qrels[qid]
-        ranked_ids = [pid for pid, _ in run[qid]]
+        ranked_ids = [pid for pid, _ in run.get(qid, ())]
         row = {}
         for k in ks:
             row[f"NDCG@{k}"] = ndcg_at_k(ranked_ids, grades, k)
@@ -177,7 +185,7 @@ def evaluate_core(run: dict[str, list[tuple[str, float]]],
                  for m in names}
     else:
         means = {m: 0.0 for m in names}
-    return MetricReport(ks, per_query, means, len(contributing), no_relevant, skipped)
+    return MetricReport(ks, per_query, means, len(contributing), no_relevant, skipped, missing)
 
 
 def evaluate_run(run_path, qrels_path, ks=(30, 50), threshold: int = 1) -> MetricReport:
@@ -185,21 +193,20 @@ def evaluate_run(run_path, qrels_path, ks=(30, 50), threshold: int = 1) -> Metri
 
 
 def report_tsv(report: MetricReport, meta: dict | None = None) -> str:
+    """The report as TSV: meta comment, count comment, one row per query, ALL."""
     names = report.metric_names()
-    lines = []
-    if meta:
-        lines.append("# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)))
-    lines.append(
-        f"# queries={report.queries_scored} "
-        f"without_relevant={len(report.queries_without_relevant)} "
-        f"skipped={len(report.queries_skipped)}"
-    )
+    lines = [artifacts.comment({
+        "queries": report.queries_scored,
+        "without_relevant": len(report.queries_without_relevant),
+        "skipped": len(report.queries_skipped),
+        "missing": len(report.queries_missing),
+    })]
     lines.append("\t".join(["query_id"] + names))
     for qid in sorted(report.per_query):
         row = report.per_query[qid]
         lines.append("\t".join([qid] + [f"{row[m]:.4f}" for m in names]))
     lines.append("\t".join(["ALL"] + [f"{report.means[m]:.4f}" for m in names]))
-    return "\n".join(lines) + "\n"
+    return artifacts.render(lines, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +220,7 @@ class SweepAxis(Enum):
 
 def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
           config, mu=None, alpha=None, infer_steps=None, min_count: int = 1,
-          power: float = 0.75, ks=(30, 50), threshold: int = 1,
-          workers: int = 1):
+          power: float = 0.75, ks=(30, 50), threshold: int = 1):
     """Train/rank/evaluate across one swept parameter.
 
     DIMENSION retrains the formula model per value and ranks formula-only;
@@ -253,13 +259,13 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
     if axis is SweepAxis.DIMENSION:
         for v in values:
             cfg = replace(config, dim=int(v), mode=Mode.FORMULA2VEC)
-            table = train_formula2vec(train_corpus, vocab, cfg, workers=workers)
+            table = train_formula2vec(train_corpus, vocab, cfg)
             provider, formulas = formula_provider(table)
             run = run_dict(RankMethod.FORMULA2VEC, provider, formulas, None, alpha)
             results.append((float(v), evaluate_core(run, qrels, ks, threshold)))
     elif axis is SweepAxis.ALPHA:
         cfg = replace(config, mode=Mode.FORMULA2VEC)
-        table = train_formula2vec(train_corpus, vocab, cfg, workers=workers)
+        table = train_formula2vec(train_corpus, vocab, cfg)
         provider, formulas = formula_provider(table)
         index = TextIndex.build(collection, mu)
         for v in values:
@@ -272,11 +278,7 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
 
 def sweep_tsv(axis: SweepAxis, results, ks=(30, 50), meta: dict | None = None) -> str:
     names = [f"NDCG@{k}" for k in ks] + [f"P@{k}" for k in ks] + ["MAP", "MRR"]
-    lines = []
-    if meta:
-        lines.append("# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)))
-    lines.append("\t".join([axis.value] + names))
+    lines = ["\t".join([axis.value] + names)]
     for value, report in results:
-        shown = f"{value:g}"
-        lines.append("\t".join([shown] + [f"{report.means[m]:.4f}" for m in names]))
-    return "\n".join(lines) + "\n"
+        lines.append("\t".join([f"{value:g}"] + [f"{report.means[m]:.4f}" for m in names]))
+    return artifacts.render(lines, meta=meta)

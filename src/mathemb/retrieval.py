@@ -25,7 +25,6 @@ formula, summed per page segment (np.add.reduceat) and averaged.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -33,6 +32,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import artifacts
 from .analysis import unit_rows
 from .corpus import Collection, Page, Query
 from .embeddings import EmbeddingTable, Mode, infer_vectors
@@ -95,46 +95,45 @@ class TextIndex:
         return cls(page_tf, page_len, coll_tf, sum(page_len.values()), mu)
 
     def save(self, path, meta: dict | None = None) -> None:
-        lines = [TEXTINDEX_HEADER]
-        if meta:
-            lines.append("# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)))
-        lines.append(json.dumps(
-            {"collection_length": self.coll_len, "mu": self.mu, "pages": len(self.page_tf)},
-            sort_keys=True, separators=(",", ":")))
-        for page_id in self.page_tf:
-            lines.append(json.dumps(
-                {"page_id": page_id, "length": self.page_len[page_id],
-                 "tf": dict(sorted(self.page_tf[page_id].items()))},
-                sort_keys=True, separators=(",", ":")))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Write the index; meta keys go into its comment line in order."""
+        body = [artifacts.to_json(
+            {"collection_length": self.coll_len, "mu": self.mu, "pages": len(self.page_tf)})]
+        body += [artifacts.to_json({"page_id": page_id, "length": self.page_len[page_id],
+                                    "tf": dict(sorted(self.page_tf[page_id].items()))})
+                 for page_id in self.page_tf]
+        artifacts.write(path, body, TEXTINDEX_HEADER, meta)
 
     @classmethod
     def load(cls, path) -> "TextIndex":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != TEXTINDEX_HEADER:
-                raise MalformedRecord(f"{path}: expected header {TEXTINDEX_HEADER!r}")
-            stats = None
-            page_tf: dict[str, Counter] = {}
-            page_len: dict[str, int] = {}
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                rec = json.loads(line)
-                if stats is None:
-                    stats = rec
-                    continue
-                page_tf[rec["page_id"]] = Counter(rec["tf"])
-                page_len[rec["page_id"]] = int(rec["length"])
-        if stats is None:
+        """Read an index, checking that each page's length is the sum of its
+        term counts and the collection length the sum of the page lengths."""
+        stats: dict = {}
+        page_tf: dict[str, Counter] = {}
+        page_len: dict[str, int] = {}
+
+        def record(rec) -> None:
+            if not stats:
+                stats.update(coll_len=int(rec["collection_length"]), mu=float(rec["mu"]))
+                if not stats["mu"] > 0:
+                    raise MalformedRecord(f"mu must be > 0, got {stats['mu']}")
+                return
+            page_id, tf, length = rec["page_id"], Counter(rec["tf"]), int(rec["length"])
+            if length != tf.total():
+                raise MalformedRecord(f"page {page_id!r} has length {length}, but its term "
+                                      f"counts sum to {tf.total()}")
+            page_tf[page_id] = tf
+            page_len[page_id] = length
+
+        artifacts.read_records(path, record, TEXTINDEX_HEADER)
+        if not stats:
             raise MalformedRecord(f"{path}: missing collection statistics line")
+        if stats["coll_len"] != sum(page_len.values()):
+            raise MalformedRecord(f"{path}: collection_length {stats['coll_len']} is not the "
+                                  f"sum of the page lengths, {sum(page_len.values())}")
         coll_tf = Counter()
         for tf in page_tf.values():
             coll_tf.update(tf)
-        return cls(page_tf, page_len, coll_tf, int(stats["collection_length"]),
-                   float(stats["mu"]))
+        return cls(page_tf, page_len, coll_tf, stats["coll_len"], stats["mu"])
 
 
 def lm_score(keywords, page_id: str, index: TextIndex, mu: float | None = None) -> float:
@@ -409,12 +408,8 @@ def rank_pages(query: Query, collection: Collection, method: RankMethod,
 
 def write_run(ranked_lists, path, tag: str = "mathemb", top: int = 1000,
               meta: dict | None = None) -> None:
-    """TREC run format: query_id Q0 page_id rank score tag."""
-    lines = []
-    if meta:
-        lines.append("# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)))
-    for rl in ranked_lists:
-        for rank, entry in enumerate(rl.entries[:top], start=1):
-            lines.append(f"{rl.query_id} Q0 {entry.page_id} {rank} {entry.C:.6f} {tag}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """TREC run format: query_id Q0 page_id rank score tag.  meta keys go into
+    the comment line in order."""
+    artifacts.write(path, [f"{rl.query_id} Q0 {entry.page_id} {rank} {entry.C:.6f} {tag}"
+                           for rl in ranked_lists
+                           for rank, entry in enumerate(rl.entries[:top], start=1)], meta=meta)

@@ -59,9 +59,6 @@ class TokenizedFormula:
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
 
-    def joined(self) -> str:
-        return " ".join(self.surfaces)
-
 
 def _load_table(name: str) -> frozenset[str]:
     text = resources.files("mathemb.data").joinpath(name).read_text(encoding="utf-8")

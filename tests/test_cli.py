@@ -1,5 +1,6 @@
 import io
 import json
+import shutil
 import subprocess
 import sys
 
@@ -223,3 +224,67 @@ class TestPipeline:
                      "--qrels", str(QRELS_PATH)]) == 0
         out = capsys.readouterr().out
         assert "NDCG@30" in out and "ALL" in out
+
+
+class TestCorruptArtifacts:
+    """A corrupt artifact ends its command with exit 1 and a path:line diagnostic."""
+
+    @pytest.mark.parametrize("artifact,line_no,text", [
+        ("store", 3, '{"kind":"page","page_id":"x"}'),
+        ("store", 3, "[1,2]"),
+        ("train", 3, '{"id":"x"}'),
+        ("index", 4, '{"length":'),
+        ("f2v_meta", 2, "{not json"),
+    ], ids=["store-missing-field", "store-not-object", "corpus-missing-field",
+            "index-not-json", "meta-not-json"])
+    def test_exit_one_with_path_and_line(self, pipeline, tmp_path, capsys,
+                                         artifact, line_no, text):
+        work = tmp_path / "pipeline"
+        shutil.copytree(pipeline["store"].parent, work)
+        paths = {name: work / pipeline[name].name for name in ("store", "train", "index")}
+        paths["f2v_meta"] = work / "f2v.meta.txt"
+        lines = paths[artifact].read_text().splitlines()
+        lines[line_no - 1] = text
+        paths[artifact].write_text("\n".join(lines) + "\n")
+        argv = {
+            "store": ["filter", "--store", str(paths["store"]),
+                      "--out", str(tmp_path / "out.corpus")],
+            "train": ["train-symbol2vec", "--corpus", str(paths["train"]),
+                      "--out", str(tmp_path / "sym"), "--dim", "4", "--epochs", "1"],
+            "index": ["search", "--store", str(paths["store"]), "--queries", str(QUERIES_PATH),
+                      "--method", "lm", "--index", str(paths["index"]),
+                      "--out", str(tmp_path / "r.run")],
+            "f2v_meta": ["neighbors", "--model", str(work / "f2v"), "--symbol", "x"],
+        }[artifact]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[artifact]}:{line_no}: "), err
+        assert err.count("\n") == 1
+
+    def test_search_rejects_index_of_other_pages(self, pipeline, tmp_path, capsys):
+        store = tmp_path / "c.store"
+        lines = pipeline["store"].read_text().splitlines()
+        store.write_text("\n".join(ln for ln in lines if '"page_id":"Plain_History"' not in ln)
+                         + "\n")
+        out = tmp_path / "r.run"
+        capsys.readouterr()
+        assert main(["search", "--store", str(store), "--queries", str(QUERIES_PATH),
+                     "--method", "combined", "--model", str(pipeline["f2v"]),
+                     "--index", str(pipeline["index"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "0 pages only in the store, 1 only in the index" in err
+        assert str(pipeline["index"]) in err
+        assert not out.exists()
+
+    def test_evaluate_counts_judged_queries_missing_from_run(self, tmp_path, capsys):
+        run = tmp_path / "one.run"
+        run.write_text("q1 Q0 Trig_Addition 1 0.9 t\n")
+        qrels = tmp_path / "two.qrels"
+        qrels.write_text("q1 0 Trig_Addition 1\nq2 0 Ocean_Waves 1\n")
+        assert main(["evaluate", "--run", str(run), "--qrels", str(qrels)]) == 0
+        out, err = capsys.readouterr()
+        assert "# queries=2 without_relevant=0 skipped=0 missing=1" in out.splitlines()
+        table = [ln.split("\t") for ln in out.splitlines() if not ln.startswith("#")]
+        assert dict(zip(table[0], table[-1]))["MAP"] == "0.5000"
+        assert "q2" in err

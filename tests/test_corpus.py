@@ -44,7 +44,7 @@ class TestIngest:
     def test_malformed_reports_line(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text('{"page_id": "a", "text": "", "formulas": []}\nnot json\n')
-        with pytest.raises(MalformedRecord, match="line 2"):
+        with pytest.raises(MalformedRecord, match="bad.jsonl:2:"):
             ingest_pages(p)
 
     def test_page_id_with_whitespace_rejected(self, tmp_path):
@@ -54,7 +54,7 @@ class TestIngest:
             ingest_pages(p)
 
     def test_pages_without_formulas_kept(self, fixture_collection):
-        plain = fixture_collection.page("Plain_History")
+        plain = next(p for p in fixture_collection.pages if p.page_id == "Plain_History")
         assert plain.formula_ids == []
 
     def test_text_normalized(self):

@@ -299,12 +299,6 @@ class TestTraining:
             wins += dup > float(np.median(pairwise))
         assert wins >= 6  # majority over seeds
 
-    def test_parallel_mode_smoke(self, fixture_train_corpus, fixture_vocab):
-        cfg = TrainingConfig(dim=16, epochs=3, seed=1, mode=Mode.SYMBOL2VEC)
-        t = train_symbol2vec(fixture_train_corpus, fixture_vocab, cfg, workers=3)
-        assert np.isfinite(t.input_vectors).all()
-        assert (np.linalg.norm(t.input_vectors, axis=1) > 0).all()
-
 
 class TestInference:
     def test_deterministic(self, trained_formula_table, fixture_train_corpus):

@@ -204,6 +204,15 @@ class TestEvaluate:
         assert report.queries_skipped == ["mystery"]
         assert "mystery" not in report.per_query
 
+    def test_judged_query_missing_from_run_scores_zero(self):
+        run = {"q1": [("d", 1.0)]}
+        qrels = {"q1": {"d": 1}, "q2": {"e": 1}, "q3": {"e": 0}}
+        report = evaluate_core(run, qrels)
+        assert report.queries_missing == ["q2"]
+        assert report.queries_scored == 2
+        assert report.per_query["q2"]["MAP"] == 0.0
+        assert report.means["MAP"] == 0.5
+
     def test_evaluate_run_files(self, tmp_path):
         run = tmp_path / "run.txt"
         run.write_text("q1 Q0 Trig_Addition 1 0.9 t\nq1 Q0 Ocean_Waves 2 0.5 t\n")

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from mathemb.corpus import Collection, Page, Query, normalize_text
 from mathemb.errors import (
-    NegativeAlpha, NoQueryFormulae, UnknownPage, ZeroVector,
+    MalformedRecord, NegativeAlpha, NoQueryFormulae, UnknownPage, ZeroVector,
 )
 from mathemb.retrieval import (
     NO_FORMULA_FLOOR, FormulaVectorProvider, RankMethod, TextIndex, _minmax,
@@ -78,6 +79,23 @@ class TestTextIndex:
         assert p1.read_bytes() == p2.read_bytes()
         assert loaded.coll_len == fixture_index.coll_len
         assert loaded.mu == fixture_index.mu
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("collection_length", 1, "i.txt: collection_length 1 is not the sum"),
+        ("length", 1, "i.txt:3: page .* has length 1"),
+        ("mu", 0, "i.txt:2: mu must be > 0"),
+    ])
+    def test_inconsistent_index_rejected(self, fixture_index, tmp_path, field, value, match):
+        p = tmp_path / "i.txt"
+        fixture_index.save(p)
+        lines = p.read_text().splitlines()
+        line_no = 2 if field == "length" else 1
+        rec = json.loads(lines[line_no])
+        rec[field] = value
+        lines[line_no] = json.dumps(rec)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord, match=match):
+            TextIndex.load(p)
 
 
 class TestLmScore:
