@@ -88,6 +88,20 @@ def read_records(path, parse, header: str | None = None) -> list:
     return out
 
 
+def read_fields(path, count: int, error=MalformedRecord):
+    """(line number, fields) of each line of a whitespace-separated text file
+    such as a TREC run or qrels file, skipping blank lines and "#" lines.  A
+    line with other than count fields raises error with "path:line:"."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if len(fields) != count:
+                raise error(f"{path}:{line_no}: expected {count} fields, got {len(fields)}")
+            yield line_no, fields
+
+
 # ---------------------------------------------------------------------------
 # word2vec-style vector files: [header] [meta] "rows dim", then "label v1 ... vdim"
 

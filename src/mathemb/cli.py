@@ -413,6 +413,9 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(argv, commands)
         args = parser.parse_args(argv)
+        for flag, least in (("top", 1), ("steps", 0), ("threshold", 1)):
+            if getattr(args, flag, least) < least:
+                raise ValueError(f"--{flag} must be >= {least}")
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:

@@ -187,10 +187,6 @@ class Vocabulary:
     def __contains__(self, surface: str) -> bool:
         return surface in self.index
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw `size` token indices from the unigram^power distribution."""
-        return self.quantile(rng.random(size))
-
     def quantile(self, uniforms) -> np.ndarray:
         """Token indices at the given uniform [0, 1) draws of the sampling
         distribution (inverse CDF); any array shape."""

@@ -11,19 +11,28 @@ mean of the formula vector together with the context token input vectors
 every row that entered the mean, so a finite-difference check of the applied
 updates reproduces the analytic gradient.
 
-Training is deterministic for a given (corpus, config, seed).
+One kernel, _sgd, applies this update to a block of positions at once:
+every gradient in the block is taken from the rows as they were before it,
+and the updates are summed into them (minibatch Hogwild; cbow_step and
+pvdm_step are the kernel on a block of one).  Training walks each epoch's
+positions position-major (the first position of every formula, then the
+second, ...) in blocks of _BLOCK, so a block rarely updates one formula row
+twice; the learning rate falls linearly over the global position index.
+Randomness is drawn in bulk, once per epoch: one call for every window
+width and one for every negative, with negatives that equal their target
+redrawn together, in at most 100 rounds, and then dropped.  Training is
+deterministic for a given (corpus, config, seed).
 
-Inference of unseen formulae (infer_vectors, and infer_vector for one)
-applies the same PV-DM update to a new formula vector alone, the trained
-rows frozen.  Formulae are therefore independent, and a batch of them runs
-in lockstep, one position of each per step, so the arithmetic of a step is a
-few numpy calls over the whole batch while every formula keeps its own
-seeded generator.
+Inference of unseen formulae (infer_vectors, and infer_vector for one) is
+the same kernel with the trained rows frozen, updating a new formula vector
+alone.  Formulae are therefore independent, and a batch of them runs in
+lockstep, one position of each per step, while every formula draws its
+initialization, widths and negatives up front from its own seeded generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -38,7 +47,7 @@ from .errors import (
     MalformedRecord,
     UnknownTokensOnly,
 )
-from .tokenizer import SymbolToken, TokenizedFormula
+from .tokenizer import SymbolToken
 
 DOCVEC_HEADER = "MATHEMB-DOCVEC v1"
 MODEL_HEADER = "MATHEMB-MODEL v1"
@@ -122,15 +131,6 @@ class EmbeddingTable:
         return None if row is None else self.formula_vectors[row]
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     # clamp pre-activations so the loss stays finite on extreme inputs
     x = np.clip(x, -_CLAMP, _CLAMP)
@@ -152,38 +152,56 @@ def nce_loss(center, positive, negatives) -> float:
     return loss
 
 
-def _step(input_vectors, context_vectors, doc_vectors, doc_row,
-          context_indices, target_index, negative_indices, lr) -> float:
-    """One SGD step; returns the pre-update loss.  doc_row is None in symbol mode."""
-    ctx = np.asarray(context_indices, dtype=np.intp)
-    n_members = len(ctx) + (1 if doc_row is not None else 0)
-    if n_members == 0:
-        raise EmptyContext("no context tokens at this position")
-    if len(ctx):
-        h = input_vectors[ctx].sum(axis=0)
-    else:
-        h = np.zeros(input_vectors.shape[1])
-    if doc_row is not None:
-        h = h + doc_vectors[doc_row]
-    h /= n_members
+def _sgd(words, outputs, docs, ctx, doc_rows, targets, negatives, lr, pad,
+         frozen: bool = False) -> np.ndarray:
+    """One simultaneous SGD update over m positions; returns each position's
+    pre-update loss.
 
-    rows = np.empty(1 + len(negative_indices), dtype=np.intp)
-    rows[0] = target_index
-    rows[1:] = negative_indices
-    u = context_vectors[rows]
-    dots = u @ h
-    loss = float(-_log_sigmoid(dots[:1])[0] - _log_sigmoid(-dots[1:]).sum())
+    ctx (m, c) indexes words, pad marking an empty slot (words[pad], when
+    gathered, must be a zero row); h is the mean of the non-pad context rows,
+    joined by docs[doc_rows] when docs is not None.  targets (m,) and
+    negatives (m, k) index outputs; a negative equal to pad is dropped.  lr
+    is one rate or one per position.  Every gradient is taken at the rows as
+    they are on entry and the m updates are summed into them, so a row used
+    twice in the block gets both.  frozen updates docs alone.
+    """
+    in_ctx = ctx != pad
+    n_ctx = np.count_nonzero(in_ctx, axis=1)
+    n_members = n_ctx if docs is None else n_ctx + 1
+    h = words[ctx].sum(axis=1)
+    if docs is not None:
+        h += docs[doc_rows]
+    h /= n_members[:, None]
 
-    g = _sigmoid(dots)
-    g[0] -= 1.0                      # dL/d(dots)
-    grad_h = g @ u
-    np.subtract.at(context_vectors, rows, lr * np.outer(g, h))
-    member_grad = (lr / n_members) * grad_h
-    if len(ctx):
-        np.subtract.at(input_vectors, ctx, member_grad)
-    if doc_row is not None:
-        doc_vectors[doc_row] -= member_grad
+    rows = np.concatenate((targets[:, None], negatives), axis=1)
+    live = rows != pad
+    u = outputs[rows]
+    dots = np.einsum("mkd,md->mk", u, h)
+    sign = np.ones(rows.shape[1])
+    sign[1:] = -1.0                         # a negative's loss is -log sigma(-u.h)
+    loss = -(_log_sigmoid(sign * dots) * live).sum(axis=1)
+
+    step = np.exp(-np.logaddexp(0.0, -dots))  # sigma(u.h), overflow-free
+    step[:, 0] -= 1.0                       # dL/d(u.h)
+    step *= live * -np.reshape(lr, (-1, 1))
+    member_step = np.einsum("mk,mkd->md", step, u) / n_members[:, None]
+    if docs is not None:
+        np.add.at(docs, doc_rows, member_step)
+    if not frozen:
+        np.add.at(outputs, rows, step[:, :, None] * h[:, None, :])
+        np.add.at(words, ctx[in_ctx], np.repeat(member_step, n_ctx, axis=0))
     return loss
+
+
+def _one_step(table: EmbeddingTable, doc_row, context_indices, target_index,
+              negative_indices, lr: float) -> float:
+    negatives = np.asarray(negative_indices, dtype=np.intp).reshape(1, -1)
+    if (negatives == target_index).any():
+        raise ValueError("target index must not appear among the negatives")
+    docs = None if doc_row is None else table.formula_vectors
+    return float(_sgd(table.input_vectors, table.context_vectors, docs,
+                      np.asarray(context_indices, dtype=np.intp).reshape(1, -1), [doc_row],
+                      np.array([target_index]), negatives, lr, len(table.vocab))[0])
 
 
 def cbow_step(table: EmbeddingTable, context_indices, target_index,
@@ -191,10 +209,7 @@ def cbow_step(table: EmbeddingTable, context_indices, target_index,
     """Single CBOW update on the table; returns the pre-update loss."""
     if len(context_indices) == 0:
         raise EmptyContext("cbow_step needs at least one context token")
-    if target_index in set(int(i) for i in negative_indices):
-        raise ValueError("target index must not appear among the negatives")
-    return _step(table.input_vectors, table.context_vectors, None, None,
-                 context_indices, target_index, negative_indices, lr)
+    return _one_step(table, None, context_indices, target_index, negative_indices, lr)
 
 
 def pvdm_step(table: EmbeddingTable, formula_row: int, context_indices,
@@ -203,49 +218,57 @@ def pvdm_step(table: EmbeddingTable, formula_row: int, context_indices,
 
     The token context may be empty; the formula vector alone then forms h.
     """
-    if target_index in set(int(i) for i in negative_indices):
-        raise ValueError("target index must not appear among the negatives")
-    return _step(table.input_vectors, table.context_vectors,
-                 table.formula_vectors, formula_row,
-                 context_indices, target_index, negative_indices, lr)
+    return _one_step(table, formula_row, context_indices, target_index, negative_indices, lr)
 
 
-def _sample_negatives(vocab: Vocabulary, rng: np.random.Generator,
-                      k: int, target: int) -> list[int]:
-    """k draws from the unigram^power table; collisions with the target are
-    resampled up to 100 times each, then dropped."""
-    return _replace_collisions(vocab, rng, vocab.sample(rng, k), target)
+def _encode(tokens, vocab: Vocabulary) -> np.ndarray:
+    """Vocabulary indices of the in-vocabulary tokens (SymbolTokens or surfaces)."""
+    surfaces = (t.surface if isinstance(t, SymbolToken) else str(t) for t in tokens)
+    return np.asarray([vocab.index[s] for s in surfaces if s in vocab.index], dtype=np.intp)
 
 
-def _replace_collisions(vocab: Vocabulary, rng: np.random.Generator,
-                        draws, target: int) -> list[int]:
-    """draws with each draw equal to target resampled from rng, in order, up
-    to 100 times; a draw that still collides is dropped."""
-    out = []
-    for d in draws:
-        d = int(d)
-        if d == target:
-            for _ in range(100):
-                d = int(vocab.sample(rng, 1)[0])
-                if d != target:
-                    break
-            else:
-                continue
-        out.append(d)
-    return out
+def _lay_out(seqs, window: int, pad: int):
+    """The sequences end to end in one array, with window pad entries before
+    each and after the last, so that every window around a position stays
+    inside the array and never reaches another sequence; returns the array
+    and the index of each sequence's first entry."""
+    lens = np.array([len(seq) for seq in seqs])
+    starts = window + np.concatenate(([0], np.cumsum(lens + window)[:-1]))
+    flat = np.full(starts[-1] + lens[-1] + window, pad, dtype=np.intp)
+    for start, seq in zip(starts, seqs):
+        flat[start:start + len(seq)] = seq
+    return flat, starts
 
 
-def _encode(formulas, vocab: Vocabulary):
-    encoded = []
-    for f in formulas:
-        idx = [vocab.index[t.surface] for t in f.tokens if t.surface in vocab.index]
-        encoded.append((f.id, np.asarray(idx, dtype=np.intp)))
-    return encoded
+def _windows(flat, centers, widths, window: int, pad: int) -> np.ndarray:
+    """(m, 2 * window) context of each center in a _lay_out array; slots
+    farther from the center than its width hold pad."""
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    ctx = flat[centers[:, None] + offsets]
+    ctx[np.abs(offsets) > widths[:, None]] = pad
+    return ctx
 
 
-def _context(seq: np.ndarray, pos: int, b: int) -> np.ndarray:
-    lo = max(0, pos - b)
-    return np.concatenate((seq[lo:pos], seq[pos + 1:pos + 1 + b]))
+def _negatives(vocab: Vocabulary, rng: np.random.Generator, targets, k: int,
+               pad: int) -> np.ndarray:
+    """(len(targets), k) draws from the unigram^power table, from one
+    rng.random call.  Draws equal to their target are redrawn together, one
+    rng.random call per round, for at most 100 rounds; any still equal are
+    dropped (set to pad)."""
+    negatives = vocab.quantile(rng.random((len(targets), k)))
+    for _ in range(100):
+        clash = np.nonzero(negatives == targets[:, None])
+        if not len(clash[0]):
+            return negatives
+        negatives[clash] = vocab.quantile(rng.random(len(clash[0])))
+    negatives[negatives == targets[:, None]] = pad
+    return negatives
+
+
+# Positions updated together per training block.  A block's updates are all
+# taken from the rows as they were before it (see _sgd), so the block size
+# is part of the model a seed gives.
+_BLOCK = 16
 
 
 def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
@@ -253,56 +276,51 @@ def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
     formulas = list(formulas)
     if not formulas:
         raise EmptyCorpus("training corpus is empty")
-    encoded = _encode(formulas, vocab)
+    seqs = [_encode(f.tokens, vocab) for f in formulas]
 
     rng = np.random.default_rng(config.seed)
-    dim = config.dim
+    dim, window, pad = config.dim, config.window, len(vocab)
     bound = 0.5 / dim
-    input_vectors = rng.uniform(-bound, bound, (len(vocab), dim))
-    context_vectors = np.zeros((len(vocab), dim))
-    formula_vectors = None
-    formula_ids = None
-    if with_docs:
-        formula_ids = [fid for fid, _ in encoded]
-        formula_vectors = rng.uniform(-bound, bound, (len(encoded), dim))
+    # one zero row past the vocabulary pads short windows and dropped negatives
+    words = np.zeros((pad + 1, dim))
+    words[:pad] = rng.uniform(-bound, bound, (pad, dim))
+    outputs = np.zeros((pad + 1, dim))
+    docs = rng.uniform(-bound, bound, (len(seqs), dim)) if with_docs else None
 
-    min_len = 2 if with_docs else 1
-    trainable = [(row, seq) for row, (_, seq) in enumerate(encoded) if len(seq) >= min_len]
-    skipped_short = len(encoded) - len(trainable)
+    # a position needs a context token or, in formula mode, the formula row
+    # and one more token to predict from it; either way two tokens
+    trainable = [row for row, seq in enumerate(seqs) if len(seq) >= 2]
     if not trainable:
         raise EmptyCorpus("no formula long enough to train on")
-
     table = EmbeddingTable(
         config=config, vocab=vocab,
-        input_vectors=input_vectors, context_vectors=context_vectors,
-        formula_vectors=formula_vectors, formula_ids=formula_ids,
-        skipped_short=skipped_short,
+        input_vectors=words[:pad], context_vectors=outputs[:pad],
+        formula_vectors=docs, formula_ids=[f.id for f in formulas] if with_docs else None,
+        skipped_short=len(seqs) - len(trainable),
     )
 
-    positions_per_epoch = sum(len(seq) for _, seq in trainable)
-    total_steps = config.epochs * positions_per_epoch
-    lr_span = config.lr_start - config.lr_end
-    denom = max(1, total_steps - 1)
-
-    step = 0
-    for _ in range(config.epochs):
-        epoch_loss = 0.0
-        epoch_steps = 0
-        for row, seq in trainable:
-            doc_row = row if with_docs else None
-            for pos in range(len(seq)):
-                lr = config.lr_start - lr_span * (step / denom)
-                step += 1
-                b = int(rng.integers(1, config.window + 1))
-                ctx = _context(seq, pos, b)
-                if len(ctx) == 0 and not with_docs:
-                    continue
-                target = int(seq[pos])
-                negs = _sample_negatives(vocab, rng, config.negatives, target)
-                epoch_loss += _step(input_vectors, context_vectors,
-                                    formula_vectors, doc_row, ctx, target, negs, lr)
-                epoch_steps += 1
-        table.epoch_losses.append(epoch_loss / max(1, epoch_steps))
+    lens = [len(seqs[row]) for row in trainable]
+    flat, starts = _lay_out([seqs[row] for row in trainable], window, pad)
+    # position-major walk (every formula's first position, then every second
+    # one, ...), so that a block's positions come from different formulae
+    # wherever there are enough of them
+    offsets = np.concatenate([np.arange(size) for size in lens])
+    order = np.argsort(offsets, kind="stable")
+    centers = (np.repeat(starts, lens) + offsets)[order]
+    doc_rows = np.repeat(trainable, lens)[order]
+    targets = flat[centers]
+    n = len(centers)
+    lr_span, denom = config.lr_start - config.lr_end, max(1, config.epochs * n - 1)
+    for epoch in range(config.epochs):
+        # the learning rate falls linearly over the global position index
+        lr = config.lr_start - lr_span * ((epoch * n + np.arange(n)) / denom)
+        widths = rng.integers(1, window + 1, n)
+        negatives = _negatives(vocab, rng, targets, config.negatives, pad)
+        ctx = _windows(flat, centers, widths, window, pad)
+        losses = [_sgd(words, outputs, docs, ctx[b], doc_rows[b], targets[b], negatives[b],
+                       lr[b], pad)
+                  for b in (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))]
+        table.epoch_losses.append(float(np.concatenate(losses).mean()))
     return table
 
 
@@ -321,14 +339,9 @@ def train_formula2vec(formulas, vocab: Vocabulary, config: TrainingConfig) -> Em
 
 
 # Formulae inferred together per block.  Inference keeps per-block working
-# arrays of (block, 2 * window, dim) floats, so the block size bounds memory
-# however many formulae one call infers.
+# arrays, among them every draw of the block's formulae, so the block size
+# bounds memory however many formulae one call infers.
 _INFER_BLOCK = 64
-
-
-def _encode_tokens(tokens, vocab: Vocabulary) -> np.ndarray:
-    surfaces = [t.surface if isinstance(t, SymbolToken) else str(t) for t in tokens]
-    return np.asarray([vocab.index[s] for s in surfaces if s in vocab.index], dtype=np.intp)
 
 
 def infer_vectors(token_lists, table: EmbeddingTable, seeds, steps: int = 50,
@@ -337,24 +350,25 @@ def infer_vectors(token_lists, table: EmbeddingTable, seeds, steps: int = 50,
 
     Formula i gets `steps` PV-DM passes over its in-vocabulary tokens that
     update only its own new vector; word and context rows stay frozen.  Its
-    initialization, window widths and negatives are drawn from its own
-    np.random.default_rng(seeds[i]), in the order a lone inference draws
-    them, so a formula's vector does not depend on the others inferred with
-    it (up to the rounding of the batched dot products).  The formulae run
-    in lockstep, one position of each per step, so each step's arithmetic is
-    a few numpy calls over the whole block.  A formula whose tokens are all
-    out of vocabulary gets None; steps=0 returns the seeded initializations.
+    own np.random.default_rng(seeds[i]) draws, up front, its initialization,
+    then every window width, then every negative, so a formula's vector does
+    not depend on the others inferred with it (up to the rounding of the
+    batched dot products).  The formulae run in lockstep, one position of
+    each per step, each step one _sgd call over the whole block.  A formula
+    whose tokens are all out of vocabulary gets None; steps=0 returns the
+    seeded initializations.
     """
     if table.config.mode is not Mode.FORMULA2VEC or table.formula_vectors is None:
         raise ValueError("inference needs a table trained in formula2vec mode")
-    seqs = [_encode_tokens(tokens, table.vocab) for tokens in token_lists]
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    seqs = [_encode(tokens, table.vocab) for tokens in token_lists]
     seeds = list(seeds)
     if len(seeds) != len(seqs):
         raise ValueError(f"{len(seqs)} formulae but {len(seeds)} seeds")
     # longest first, so each block's active formulae are a prefix of it
     order = sorted((i for i, seq in enumerate(seqs) if len(seq)), key=lambda i: -len(seqs[i]))
     dim = table.config.dim
-    # an all-zero row past the vocabulary pads short windows and dropped negatives
     words = np.vstack((table.input_vectors, np.zeros((1, dim))))
     outputs = np.vstack((table.context_vectors, np.zeros((1, dim))))
     out: list[np.ndarray | None] = [None] * len(seqs)
@@ -371,53 +385,34 @@ def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs,
                  steps: int, lr: float) -> np.ndarray:
     """Lockstep inference of non-empty sequences sorted by length, longest first."""
     config = table.config
-    vocab = table.vocab
-    dim, window, k = config.dim, config.window, config.negatives
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    vecs = np.stack([rng.uniform(-0.5 / dim, 0.5 / dim, dim) for rng in rngs])
-    if steps == 0:
-        return vecs
-
-    pad = len(vocab)
+    dim, window, pad = config.dim, config.window, len(table.vocab)
     lens = np.array([len(seq) for seq in seqs])
-    # sequences padded by a window of pad on each side, so every context
-    # index falls inside its row
-    padded = np.full((len(seqs), lens[0] + 2 * window), pad, dtype=np.intp)
-    for i, seq in enumerate(seqs):
-        padded[i, window:window + len(seq)] = seq
-    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
-    reach = np.abs(offsets)
-    columns = window + offsets
-    block_rows = np.arange(len(seqs))
-    uniforms = np.empty((len(seqs), k))
-    uniform_rows = list(uniforms)       # views, filled in place by each generator
-    lr_end = min(lr, config.lr_end)
     n_steps = steps * lens
+    # formula i's draws for its step s sit at row firsts[i] + s
+    firsts = np.concatenate(([0], np.cumsum(n_steps)[:-1]))
+    vecs = np.empty((len(seqs), dim))
+    widths = np.empty(n_steps.sum(), dtype=np.intp)
+    negatives = np.empty((n_steps.sum(), config.negatives), dtype=np.intp)
+    for i, (seq, seed) in enumerate(zip(seqs, seeds)):
+        rng = np.random.default_rng(seed)
+        mine = slice(firsts[i], firsts[i] + n_steps[i])
+        vecs[i] = rng.uniform(-0.5 / dim, 0.5 / dim, dim)
+        widths[mine] = rng.integers(1, window + 1, n_steps[i])
+        negatives[mine] = _negatives(table.vocab, rng, np.tile(seq, steps), config.negatives, pad)
+
+    flat, starts = _lay_out(seqs, window, pad)
+    rows = np.arange(len(seqs))
+    lr_end = min(lr, config.lr_end)
     totals = np.maximum(1, n_steps - 1)
     active = len(seqs)
     for step in range(int(n_steps[0])):
         while n_steps[active - 1] <= step:
             active -= 1
-        rows = block_rows[:active]
-        pos = step % lens[:active]
-        targets = padded[rows, window + pos]
-        widths = np.array([rng.integers(1, window + 1) for rng in rngs[:active]])
-        for rng, row in zip(rngs[:active], uniform_rows):
-            rng.random(out=row)
-        negatives = vocab.quantile(uniforms[:active])
-        for i in np.flatnonzero((negatives == targets[:, None]).any(axis=1)):
-            kept = _replace_collisions(vocab, rngs[i], negatives[i], int(targets[i]))
-            negatives[i] = kept + [pad] * (k - len(kept))
-
-        ctx = padded[rows[:, None], pos[:, None] + columns]
-        ctx[reach > widths[:, None]] = pad
-        n_members = np.count_nonzero(ctx != pad, axis=1) + 1
-        h = (words[ctx].sum(axis=1) + vecs[:active]) / n_members[:, None]
-        u = outputs[np.concatenate((targets[:, None], negatives), axis=1)]
-        g = _sigmoid(np.einsum("mkd,md->mk", u, h))
-        g[:, 0] -= 1.0
-        cur_lr = lr - (lr - lr_end) * (step / totals[:active])
-        vecs[:active] -= (cur_lr / n_members)[:, None] * np.einsum("mk,mkd->md", g, u)
+        centers = starts[:active] + step % lens[:active]
+        at = firsts[:active] + step
+        _sgd(words, outputs, vecs, _windows(flat, centers, widths[at], window, pad),
+             rows[:active], flat[centers], negatives[at],
+             lr - (lr - lr_end) * (step / totals[:active]), pad, frozen=True)
     return vecs
 
 

@@ -85,25 +85,17 @@ def reciprocal_rank(ranked_ids, grades: dict[str, int], threshold: int = 1) -> f
 def parse_run(path) -> dict[str, list[tuple[str, float]]]:
     """TREC run file -> {query_id: [(page_id, score)] sorted by score desc}."""
     run: dict[str, dict[str, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise MalformedRunLine(f"{path}:{line_no}: expected 6 fields, got {len(parts)}")
-            qid, _, pid, rank, score, _tag = parts
-            try:
-                int(rank)
-                score_val = float(score)
-            except ValueError:
-                raise MalformedRunLine(f"{path}:{line_no}: bad rank/score") from None
-            per_query = run.setdefault(qid, {})
-            if pid in per_query:
-                raise MalformedRunLine(
-                    f"{path}:{line_no}: duplicate page {pid!r} for query {qid!r}")
-            per_query[pid] = score_val
+    for line_no, (qid, _, pid, rank, score, _tag) in artifacts.read_fields(
+            path, 6, MalformedRunLine):
+        try:
+            int(rank)
+            score_val = float(score)
+        except ValueError:
+            raise MalformedRunLine(f"{path}:{line_no}: bad rank/score") from None
+        per_query = run.setdefault(qid, {})
+        if pid in per_query:
+            raise MalformedRunLine(f"{path}:{line_no}: duplicate page {pid!r} for query {qid!r}")
+        per_query[pid] = score_val
     return {
         qid: sorted(scores.items(), key=lambda ps: (-ps[1], ps[0]))
         for qid, scores in run.items()
@@ -113,26 +105,18 @@ def parse_run(path) -> dict[str, list[tuple[str, float]]]:
 def parse_qrels(path) -> dict[str, dict[str, int]]:
     """TREC qrels -> {query_id: {page_id: grade}}; grades must be >= 0."""
     qrels: dict[str, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise MalformedQrelLine(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
-            qid, _, pid, grade = parts
-            try:
-                grade_val = int(grade)
-            except ValueError:
-                raise MalformedQrelLine(
-                    f"{path}:{line_no}: grade {grade!r} is not an integer") from None
-            if grade_val < 0:
-                raise MalformedQrelLine(f"{path}:{line_no}: negative grade")
-            per_query = qrels.setdefault(qid, {})
-            if pid in per_query:
-                raise MalformedQrelLine(f"{path}:{line_no}: duplicate judgment for ({qid}, {pid})")
-            per_query[pid] = grade_val
+    for line_no, (qid, _, pid, grade) in artifacts.read_fields(path, 4, MalformedQrelLine):
+        try:
+            grade_val = int(grade)
+        except ValueError:
+            raise MalformedQrelLine(
+                f"{path}:{line_no}: grade {grade!r} is not an integer") from None
+        if grade_val < 0:
+            raise MalformedQrelLine(f"{path}:{line_no}: negative grade")
+        per_query = qrels.setdefault(qid, {})
+        if pid in per_query:
+            raise MalformedQrelLine(f"{path}:{line_no}: duplicate judgment for ({qid}, {pid})")
+        per_query[pid] = grade_val
     return qrels
 
 
@@ -159,6 +143,8 @@ def evaluate_core(run: dict[str, list[tuple[str, float]]],
                   qrels: dict[str, dict[str, int]],
                   ks=(30, 50), threshold: int = 1) -> MetricReport:
     """Metrics for an in-memory run against in-memory judgments."""
+    if threshold < 1:
+        raise ValueError("threshold must be >= 1: an unjudged page has grade 0")
     ks = tuple(ks)
     per_query: dict[str, dict[str, float]] = {}
     skipped = [qid for qid in run if qid not in qrels]

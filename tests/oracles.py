@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from the rule statements, not from
 the production code: a character-level scanner for tokenization, flat-loop
-metric and page-score computations, and a finite-difference probe for the
-training updates.  Tests compare production output against these.
+metric and page-score computations, one-position SGD steps and inference,
+and a finite-difference probe for the training updates.  Tests compare
+production output against these.
 """
 
 import math
@@ -153,38 +154,82 @@ def oracle_page_score(query_vecs, page_vecs):
 
 
 # ---------------------------------------------------------------------------
+# one SGD step at a time
+
+
+def oracle_step(input_vectors, context_vectors, doc_vectors, doc_row,
+                context_indices, target_index, negative_indices, lr):
+    """One CBOW (doc_row None) or PV-DM step applied in place, one position
+    at a time; returns the pre-update loss.  h is the mean of the context
+    rows and the formula row; the gradient on h is split equally over them."""
+    ctx = np.asarray(context_indices, dtype=np.intp)
+    n_members = len(ctx) + (1 if doc_row is not None else 0)
+    h = input_vectors[ctx].sum(axis=0) if len(ctx) else np.zeros(input_vectors.shape[1])
+    if doc_row is not None:
+        h = h + doc_vectors[doc_row]
+    h /= n_members
+
+    rows = np.asarray([target_index] + list(negative_indices), dtype=np.intp)
+    u = context_vectors[rows]
+    dots = u @ h
+    loss = -math.log(1.0 / (1.0 + math.exp(-dots[0])))
+    loss -= sum(math.log(1.0 / (1.0 + math.exp(d))) for d in dots[1:])
+
+    g = np.array([1.0 / (1.0 + math.exp(-d)) for d in dots])
+    g[0] -= 1.0                      # dL/d(dots)
+    grad_h = g @ u
+    np.subtract.at(context_vectors, rows, lr * np.outer(g, h))
+    member_grad = (lr / n_members) * grad_h
+    if len(ctx):
+        np.subtract.at(input_vectors, ctx, member_grad)
+    if doc_row is not None:
+        doc_vectors[doc_row] -= member_grad
+    return loss
+
+
+# ---------------------------------------------------------------------------
 # single-formula inference, one position at a time
+
+
+def oracle_negatives(vocab, rng, targets, k):
+    """k negatives per target: rng.random((n, k)) through the inverse CDF;
+    then rounds, at most 100, each redrawing every draw still equal to its
+    target with one rng.random call, in row-major order; draws still equal
+    after that are dropped.  Returns one list per target."""
+    n = len(targets)
+    negs = [list(row) for row in vocab.quantile(rng.random((n, k)))]
+    for _ in range(100):
+        clashes = [(p, j) for p in range(n) for j in range(k) if negs[p][j] == targets[p]]
+        if not clashes:
+            break
+        for (p, j), d in zip(clashes, vocab.quantile(rng.random(len(clashes)))):
+            negs[p][j] = d
+    return [[int(d) for d in row if d != t] for row, t in zip(negs, targets)]
 
 
 def oracle_infer_vector(surfaces, table, steps, lr, seed):
     """PV-DM inference of one formula vector against frozen word and context
-    rows, one position per step, drawing from default_rng(seed) in this
-    order: the initial vector, then per position the window width in
-    [1, window], k uniforms mapped to negatives, and a redraw for each
-    negative equal to the target (at most 100, then the negative is dropped).
-    The learning rate falls linearly from lr to min(lr, lr_end)."""
+    rows, one position per step.  default_rng(seed) draws, in this order,
+    the initial vector, the window width in [1, window] of every step, and
+    the negatives of every step (oracle_negatives).  The learning rate falls
+    linearly from lr to min(lr, lr_end)."""
     config, vocab = table.config, table.vocab
     seq = [vocab.index[s] for s in surfaces if s in vocab.index]
     rng = np.random.default_rng(seed)
     dim = config.dim
     v = rng.uniform(-0.5 / dim, 0.5 / dim, dim)
+    widths = rng.integers(1, config.window + 1, steps * len(seq))
+    all_negs = oracle_negatives(vocab, rng, seq * steps, config.negatives)
     lr_end = min(lr, config.lr_end)
     total = max(1, steps * len(seq) - 1)
     step = 0
     for _ in range(steps):
         for pos, target in enumerate(seq):
             cur_lr = lr - (lr - lr_end) * (step / total)
+            b = int(widths[step])
+            negs = all_negs[step]
             step += 1
-            b = int(rng.integers(1, config.window + 1))
             ctx = seq[max(0, pos - b):pos] + seq[pos + 1:pos + 1 + b]
-            negs = []
-            for d in vocab.sample(rng, config.negatives):
-                tries = 0
-                while d == target and tries < 100:
-                    d = vocab.sample(rng, 1)[0]
-                    tries += 1
-                if d != target:
-                    negs.append(int(d))
             h = (sum((table.input_vectors[c] for c in ctx), np.zeros(dim)) + v) / (len(ctx) + 1)
             grad = np.zeros(dim)
             for row, label in [(target, 1.0)] + [(n, 0.0) for n in negs]:

@@ -219,6 +219,31 @@ class TestPipeline:
                 assert got == [ln.split()[2] for ln in lm if ln.split()[0] == qid]
                 assert len(got) > 1
 
+    @pytest.mark.parametrize("extra", [["--top", "-1"], ["--top", "0"], ["--steps", "-3"]],
+                             ids=["top-negative", "top-zero", "steps-negative"])
+    def test_search_rejects_out_of_range_counts(self, pipeline, tmp_path, capsys, extra):
+        out = tmp_path / "r.run"
+        assert self.search(pipeline, out, "lm", *extra) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {extra[0]} must be >= {1 if extra[0] == '--top' else 0}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [["--steps", "-1"], ["--threshold", "0"]],
+                             ids=["steps-negative", "threshold-zero"])
+    def test_sweep_rejects_out_of_range_values(self, pipeline, tmp_path, capsys, extra):
+        out = tmp_path / "sweep.tsv"
+        assert main(["sweep", "--axis", "alpha", "--values", "0,4",
+                     "--store", str(pipeline["store"]), "--corpus", str(pipeline["train"]),
+                     "--queries", str(QUERIES_PATH), "--qrels", str(QRELS_PATH),
+                     "--dim", "8", "--epochs", "1", "--out", str(out), *extra]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {extra[0]} must be >= ")
+        assert not out.exists()
+
+    def test_evaluate_rejects_threshold_below_one(self, pipeline, capsys):
+        assert main(["evaluate", "--run", str(pipeline["run_lm"]), "--qrels", str(QRELS_PATH),
+                     "--threshold", "0"]) == 2
+        assert capsys.readouterr().err == "error: --threshold must be >= 1\n"
+
     def test_evaluate_to_stdout(self, pipeline, capsys):
         assert main(["evaluate", "--run", str(pipeline["run_lm"]),
                      "--qrels", str(QRELS_PATH)]) == 0

@@ -142,8 +142,8 @@ class TestVocabulary:
         assert abs(fixture_vocab.sampling_probs.sum() - 1.0) < 1e-9
 
     def test_sampling_is_seeded(self, fixture_vocab):
-        a = fixture_vocab.sample(np.random.default_rng(3), 100)
-        b = fixture_vocab.sample(np.random.default_rng(3), 100)
+        a = fixture_vocab.quantile(np.random.default_rng(3).random(100))
+        b = fixture_vocab.quantile(np.random.default_rng(3).random(100))
         assert np.array_equal(a, b)
         assert a.max() < len(fixture_vocab)
 

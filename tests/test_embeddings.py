@@ -7,8 +7,9 @@ from mathemb.analysis import cosine
 from mathemb.corpus import build_vocabulary
 from mathemb.cli import main
 from mathemb.embeddings import (
-    EmbeddingTable, Mode, TrainingConfig, cbow_step, infer_vector, infer_vectors, load_table,
-    nce_loss, pvdm_step, save_table, train_formula2vec, train_symbol2vec,
+    EmbeddingTable, Mode, TrainingConfig, _negatives, _sgd, cbow_step, infer_vector,
+    infer_vectors, load_table, nce_loss, pvdm_step, save_table, train_formula2vec,
+    train_symbol2vec,
 )
 from mathemb.errors import (
     DimensionMismatch, EmptyContext, EmptyCorpus, MalformedRecord, UnknownTokensOnly,
@@ -16,7 +17,7 @@ from mathemb.errors import (
 from mathemb.tokenizer import TokenizedFormula, tokenize
 
 from conftest import make_cluster_corpus
-from oracles import central_difference, oracle_infer_vector
+from oracles import central_difference, oracle_infer_vector, oracle_negatives, oracle_step
 
 
 def sigma(x):
@@ -197,6 +198,108 @@ class TestSteps:
         assert worst < 1e-4
 
 
+class TestKernel:
+    """_sgd against oracle_step, the one-position update."""
+
+    def rows(self, seed, v, dim, n_docs=3):
+        rng = np.random.default_rng(seed)
+        return tuple(rng.normal(0, 0.5, (n, dim)) for n in (v, v, n_docs))
+
+    @pytest.mark.parametrize("ctx,doc", [
+        ([0, 1, 1, 3], None), ([4], None), ([2, 2, 6], 1), ([], 0),
+    ], ids=["cbow-duplicate-context", "cbow-one", "pvdm-duplicate-context", "pvdm-empty"])
+    def test_block_of_one_matches_oracle_step(self, ctx, doc):
+        vocab = build_vocabulary(small_corpus(2))
+        words, outputs, docs = self.rows(3, len(vocab), 5)
+        mode = Mode.SYMBOL2VEC if doc is None else Mode.FORMULA2VEC
+        table = EmbeddingTable(
+            config=TrainingConfig(dim=5, mode=mode), vocab=vocab, input_vectors=words.copy(), context_vectors=outputs.copy(),
+            formula_vectors=docs.copy(), formula_ids=["d0", "d1", "d2"])
+        tgt, negs, lr = 5, [7, 0, 7], 0.3
+        want = oracle_step(words, outputs, docs, doc, ctx, tgt, negs, lr)
+        if doc is None:
+            got = cbow_step(table, ctx, tgt, negs, lr)
+        else:
+            got = pvdm_step(table, doc, ctx, tgt, negs, lr)
+        assert got == pytest.approx(want, abs=1e-12)
+        for after, expected in ((table.input_vectors, words), (table.context_vectors, outputs),
+                                (table.formula_vectors, docs)):
+            np.testing.assert_allclose(after, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("with_docs", [False, True], ids=["cbow", "pvdm"])
+    def test_block_is_sum_of_oracle_steps_from_the_same_rows(self, with_docs):
+        # m positions sharing rows: the kernel's one update equals the sum of
+        # the m one-position updates, each taken from the starting rows
+        rng = np.random.default_rng(17)
+        v, dim, m, k = 8, 5, 12, 3
+        pad = v
+        words0, outputs0, docs0 = self.rows(4, v + 1, dim)
+        words0[pad] = outputs0[pad] = 0.0
+        ctx = rng.integers(0, v, (m, 4))
+        ctx[rng.random((m, 4)) < 0.4] = pad
+        ctx[:, 0] = rng.integers(0, v, m)        # at least one context token
+        targets = rng.integers(0, v, m)
+        negatives = rng.integers(0, v, (m, k))
+        negatives[negatives == targets[:, None]] = pad
+        negatives[0, 1] = pad                    # a dropped negative
+        doc_rows = rng.integers(0, 3, m)
+        lr = rng.uniform(0.1, 0.5, m)
+
+        deltas = [np.zeros_like(a) for a in (words0, outputs0, docs0)]
+        want_loss = []
+        for p in range(m):
+            w, o, d = words0.copy(), outputs0.copy(), docs0.copy()
+            want_loss.append(oracle_step(
+                w, o, d, doc_rows[p] if with_docs else None, ctx[p][ctx[p] != pad],
+                targets[p], negatives[p][negatives[p] != pad], lr[p]))
+            for total, after, before in zip(deltas, (w, o, d), (words0, outputs0, docs0)):
+                total += after - before
+
+        words, outputs, docs = words0.copy(), outputs0.copy(), docs0.copy()
+        loss = _sgd(words, outputs, docs if with_docs else None, ctx, doc_rows, targets,
+                    negatives, lr, pad)
+        np.testing.assert_allclose(loss, want_loss, rtol=0, atol=1e-12)
+        for after, before, delta in zip((words, outputs, docs), (words0, outputs0, docs0), deltas):
+            np.testing.assert_allclose(after, before + delta, rtol=0, atol=1e-12)
+        assert not words[pad].any() and not outputs[pad].any()
+        if not with_docs:
+            assert np.array_equal(docs, docs0)
+
+    def test_frozen_updates_docs_alone(self):
+        words, outputs, docs = self.rows(5, 8, 4)
+        w0, o0, d0 = words.copy(), outputs.copy(), docs.copy()
+        _sgd(words, outputs, docs, np.array([[0, 1], [2, 3]]), np.array([0, 2]),
+             np.array([4, 5]), np.array([[6], [7]]), 0.5, 8, frozen=True)
+        assert np.array_equal(words, w0) and np.array_equal(outputs, o0)
+        assert np.array_equal(docs[1], d0[1]) and not np.array_equal(docs[0], d0[0])
+
+
+class TestNegatives:
+    def test_bulk_draw_matches_oracle_and_avoids_targets(self):
+        vocab = build_vocabulary(small_corpus(2))
+        pad = len(vocab)
+        # "+" is the most frequent surface, so its rows collide most often
+        targets = np.array([vocab.index["+"]] * 40 + list(range(len(vocab))) * 5)
+        got = _negatives(vocab, np.random.default_rng(3), targets, 5, pad)
+        assert not (got == targets[:, None]).any()
+        want = oracle_negatives(vocab, np.random.default_rng(3), list(targets), 5)
+        assert [[int(d) for d in row if d != pad] for row in got] == want
+        assert np.array_equal(got, _negatives(vocab, np.random.default_rng(3), targets, 5, pad))
+        assert not np.array_equal(got, _negatives(vocab, np.random.default_rng(4), targets, 5,
+                                                  pad))
+
+    def test_one_surface_vocabulary_drops_every_negative(self):
+        vocab = build_vocabulary([TokenizedFormula("f", tokenize("x x x"))])
+        got = _negatives(vocab, np.random.default_rng(0), np.zeros(6, dtype=np.intp), 3, pad=1)
+        assert got.shape == (6, 3) and (got == 1).all()
+
+    def test_training_with_every_negative_dropped(self):
+        corpus = [TokenizedFormula(f"f{i}", tokenize("x x x x")) for i in range(3)]
+        cfg = TrainingConfig(dim=4, window=2, negatives=2, epochs=2, mode=Mode.SYMBOL2VEC)
+        table = train_symbol2vec(corpus, build_vocabulary(corpus), cfg)
+        assert np.isfinite(table.input_vectors).all() and np.isfinite(table.epoch_losses).all()
+
+
 class TestTraining:
     def test_empty_corpus(self):
         vocab = build_vocabulary(small_corpus(1))
@@ -351,6 +454,10 @@ class TestInference:
         got = infer_vectors([tokenize("\\nosuch"), tokenize("a + b")],
                             trained_formula_table, [1, 2], steps=2)
         assert got[0] is None and np.isfinite(got[1]).all()
+
+    def test_negative_steps_rejected(self, trained_formula_table):
+        with pytest.raises(ValueError, match="steps"):
+            infer_vectors([tokenize("a + b")], trained_formula_table, [1], steps=-1)
 
     def test_oov_tokens_skipped(self, trained_formula_table):
         toks = tokenize("a + b \\notinvocab = c")

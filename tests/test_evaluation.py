@@ -213,6 +213,13 @@ class TestEvaluate:
         assert report.per_query["q2"]["MAP"] == 0.0
         assert report.means["MAP"] == 0.5
 
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_threshold_below_one_rejected(self, threshold):
+        # at 0 an unjudged page (grade 0) would count as relevant for P@k and
+        # MRR but not for AP, which counts judged pages only
+        with pytest.raises(ValueError, match="threshold"):
+            evaluate_core({"q": [("d", 1.0)]}, {"q": {"e": 1}}, threshold=threshold)
+
     def test_evaluate_run_files(self, tmp_path):
         run = tmp_path / "run.txt"
         run.write_text("q1 Q0 Trig_Addition 1 0.9 t\nq1 Q0 Ocean_Waves 2 0.5 t\n")
