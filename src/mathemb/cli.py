@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__, artifacts
@@ -199,6 +200,10 @@ def _write_or_print(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _parse_values(raw: str) -> list[float]:
+    return [float(v) for v in raw.split(",") if v.strip()]
+
+
 def _parse_ks(raw: str):
     ks = tuple(int(x) for x in raw.split(",") if x.strip())
     if not ks or any(k < 1 for k in ks):
@@ -238,11 +243,12 @@ def _cmd_filter(args) -> int:
     return 0
 
 
-def _train_common(args, mode):
+def _cmd_train(args) -> int:
+    """train-symbol2vec and train-formula2vec: the command names the mode."""
     from .corpus import build_vocabulary, load_training_corpus
-    from .embeddings import TrainingConfig, save_table, train_formula2vec, train_symbol2vec
-    from .embeddings import Mode
+    from .embeddings import Mode, TrainingConfig, save_table, train_formula2vec, train_symbol2vec
 
+    mode = Mode(args.command.removeprefix("train-"))
     corpus = load_training_corpus(args.corpus)
     vocab = build_vocabulary(corpus, min_count=args.min_count, power=args.sample_power)
     config = TrainingConfig(
@@ -257,18 +263,6 @@ def _train_common(args, mode):
     print(f"vocab={len(vocab)} dim={config.dim} epochs={config.epochs} "
           f"final_epoch_loss={loss} skipped_short={table.skipped_short}")
     return 0
-
-
-def _cmd_train_symbol2vec(args) -> int:
-    from .embeddings import Mode
-
-    return _train_common(args, Mode.SYMBOL2VEC)
-
-
-def _cmd_train_formula2vec(args) -> int:
-    from .embeddings import Mode
-
-    return _train_common(args, Mode.FORMULA2VEC)
 
 
 def _cmd_neighbors(args) -> int:
@@ -328,12 +322,12 @@ def _cmd_search(args) -> int:
         if not args.index:
             raise ValueError(f"--index is required for method {method.value}")
         index = TextIndex.load(args.index)
-        pages = {p.page_id for p in coll.pages}
-        if pages != index.page_tf.keys():
+        pages, indexed = {p.page_id for p in coll.pages}, set(index.page_ids)
+        if pages != indexed:
             raise MalformedRecord(
                 f"{args.index} does not index the pages of {args.store}: "
-                f"{len(pages - index.page_tf.keys())} pages only in the store, "
-                f"{len(index.page_tf.keys() - pages)} only in the index")
+                f"{len(pages - indexed)} pages only in the store, "
+                f"{len(indexed - pages)} only in the index")
         if args.mu is None:
             args.mu = index.mu
     if method in (RankMethod.FORMULA2VEC, RankMethod.COMBINED):
@@ -371,7 +365,7 @@ def _cmd_sweep(args) -> int:
     from .evaluation import SweepAxis, parse_qrels, sweep, sweep_tsv
 
     axis = SweepAxis(args.axis)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = _parse_values(args.values)
     config = TrainingConfig(
         dim=args.dim, window=args.window, negatives=args.negatives,
         epochs=args.epochs, lr_start=args.lr_start, lr_end=args.lr_end,
@@ -396,8 +390,8 @@ _HANDLERS = {
     "tokenize": _cmd_tokenize,
     "ingest": _cmd_ingest,
     "filter": _cmd_filter,
-    "train-symbol2vec": _cmd_train_symbol2vec,
-    "train-formula2vec": _cmd_train_formula2vec,
+    "train-symbol2vec": _cmd_train,
+    "train-formula2vec": _cmd_train,
     "neighbors": _cmd_neighbors,
     "pca": _cmd_pca,
     "index-text": _cmd_index_text,
@@ -416,6 +410,15 @@ def main(argv=None) -> int:
         for flag, least in (("top", 1), ("steps", 0), ("threshold", 1)):
             if getattr(args, flag, least) < least:
                 raise ValueError(f"--{flag} must be >= {least}")
+        mu = getattr(args, "mu", None)
+        if mu is not None and not 0 < mu < math.inf:
+            raise ValueError("--mu must be finite and > 0")
+        alphas = [("alpha", getattr(args, "alpha", 0.0))]
+        if getattr(args, "axis", None) == "alpha":
+            alphas += [("values", v) for v in _parse_values(args.values)]
+        for flag, value in alphas:
+            if not 0 <= value < math.inf:
+                raise ValueError(f"--{flag} must be finite and >= 0")
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:

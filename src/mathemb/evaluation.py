@@ -26,9 +26,6 @@ from enum import Enum
 from . import artifacts
 from .errors import MalformedQrelLine, MalformedRunLine
 
-METRIC_ORDER = ("NDCG", "P", "MAP", "MRR")
-
-
 # ---------------------------------------------------------------------------
 # single-query metrics
 
@@ -234,12 +231,9 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
         return provider, FormulaMatrix.build(collection.pages, collection, provider, queries)
 
     def run_dict(method, provider, formulas, index, a):
-        out = {}
-        for q in queries:
-            rl = rank_pages(q, collection, method, provider=provider, index=index,
-                            alpha=a, mu=mu, formulas=formulas)
-            out[q.query_id] = [(e.page_id, e.C) for e in rl.entries]
-        return out
+        ranked = [rank_pages(q, collection, method, provider=provider, index=index,
+                             alpha=a, mu=mu, formulas=formulas) for q in queries]
+        return {rl.query_id: list(zip(rl.ids, rl.C.tolist())) for rl in ranked}
 
     results = []
     if axis is SweepAxis.DIMENSION:

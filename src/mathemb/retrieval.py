@@ -11,6 +11,11 @@ Three methods share one entry point, rank_pages:
   * combined: both raw score sets are min-max normalized over the candidate
     set, then merged as C = (F + alpha * T) / (1 + alpha).
 
+Ranking runs on arrays: TextIndex holds the term counts as a page-major CSR
+(the file keeps one JSON record per page), one lm_score call per query
+scores every page with one vector expression per keyword, and np.lexsort
+orders pages by (-C, page_id).
+
 Formula vectors come from the trained table when the formula was part of the
 training corpus and are inferred (deterministically, seeded by content)
 otherwise, so unfiltered page formulae and unseen query formulae still match.
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -68,94 +73,108 @@ class RankMethod(Enum):
 # text side
 
 
-@dataclass
 class TextIndex:
-    """Term statistics backing the smoothed query-likelihood model."""
+    """Term statistics backing the smoothed query-likelihood model, as arrays.
 
-    page_tf: dict[str, Counter]
-    page_len: dict[str, int]
-    coll_tf: Counter
-    coll_len: int
-    mu: float = DEFAULT_MU
+    Built from (page_id, {term: count}) pairs in page order: page_ids keeps
+    that order and term_id maps each term to its id.  The counts form one
+    page-major CSR, page i holding the terms term_ids[offsets[i]:offsets[i+1]]
+    with their counts in tf; page_len and coll_tf are the counts summed per
+    page and per term, coll_len their total.
+    """
 
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be > 0")
+    def __init__(self, pages, mu: float = DEFAULT_MU):
+        if not 0 < mu < math.inf:
+            raise ValueError("mu must be finite and > 0")
+        pages = list(pages)
+        self.mu, self.page_ids = mu, [page_id for page_id, _ in pages]
+        self.page_row = {page_id: i for i, page_id in enumerate(self.page_ids)}
+        self.term_id: dict[str, int] = {}
+        self.term_ids = np.array([self.term_id.setdefault(t, len(self.term_id))
+                                  for _, tf in pages for t in tf], dtype=np.intp)
+        self.tf = np.array([c for _, tf in pages for c in tf.values()], dtype=np.int64)
+        self.offsets = np.cumsum([0] + [len(tf) for _, tf in pages])
+        self.entry_page = np.repeat(np.arange(len(pages)), np.diff(self.offsets))
+        self.page_len = np.bincount(self.entry_page, self.tf, len(pages)).astype(np.int64)
+        self.coll_tf = np.bincount(self.term_ids, self.tf, len(self.term_id)).astype(np.int64)
+        self.coll_len = int(self.page_len.sum())
 
     @classmethod
     def build(cls, collection: Collection, mu: float = DEFAULT_MU) -> "TextIndex":
-        page_tf: dict[str, Counter] = {}
-        page_len: dict[str, int] = {}
-        coll_tf: Counter = Counter()
-        for p in collection.pages:
-            tf = Counter(p.text_terms)
-            page_tf[p.page_id] = tf
-            page_len[p.page_id] = len(p.text_terms)
-            coll_tf.update(tf)
-        return cls(page_tf, page_len, coll_tf, sum(page_len.values()), mu)
+        return cls(((p.page_id, Counter(p.text_terms)) for p in collection.pages), mu)
 
     def save(self, path, meta: dict | None = None) -> None:
         """Write the index; meta keys go into its comment line in order."""
+        terms, bounds = list(self.term_id), self.offsets.tolist()
         body = [artifacts.to_json(
-            {"collection_length": self.coll_len, "mu": self.mu, "pages": len(self.page_tf)})]
-        body += [artifacts.to_json({"page_id": page_id, "length": self.page_len[page_id],
-                                    "tf": dict(sorted(self.page_tf[page_id].items()))})
-                 for page_id in self.page_tf]
+            {"collection_length": self.coll_len, "mu": self.mu, "pages": len(self.page_ids)})]
+        for page_id, length, start, end in zip(self.page_ids, self.page_len.tolist(),
+                                               bounds, bounds[1:]):
+            tf = zip(self.term_ids[start:end].tolist(), self.tf[start:end].tolist())
+            body.append(artifacts.to_json(
+                {"page_id": page_id, "length": length, "tf": {terms[t]: c for t, c in tf}}))
         artifacts.write(path, body, TEXTINDEX_HEADER, meta)
 
     @classmethod
     def load(cls, path) -> "TextIndex":
-        """Read an index, checking that each page's length is the sum of its
-        term counts and the collection length the sum of the page lengths."""
+        """Read an index, checking that each page's term counts are positive
+        integers summing to its length, and the collection length the sum of
+        the page lengths."""
         stats: dict = {}
-        page_tf: dict[str, Counter] = {}
-        page_len: dict[str, int] = {}
+        pages: dict[str, dict] = {}
 
         def record(rec) -> None:
             if not stats:
                 stats.update(coll_len=int(rec["collection_length"]), mu=float(rec["mu"]))
-                if not stats["mu"] > 0:
-                    raise MalformedRecord(f"mu must be > 0, got {stats['mu']}")
+                if not 0 < stats["mu"] < math.inf:
+                    raise MalformedRecord(f"mu must be > 0 and finite, got {stats['mu']}")
                 return
-            page_id, tf, length = rec["page_id"], Counter(rec["tf"]), int(rec["length"])
-            if length != tf.total():
+            page_id, tf, length = rec["page_id"], dict(rec["tf"]), int(rec["length"])
+            if not all(type(c) is int and c > 0 for c in tf.values()):
+                raise MalformedRecord(f"page {page_id!r} has a count that is not an integer > 0")
+            if length != sum(tf.values()):
                 raise MalformedRecord(f"page {page_id!r} has length {length}, but its term "
-                                      f"counts sum to {tf.total()}")
-            page_tf[page_id] = tf
-            page_len[page_id] = length
+                                      f"counts sum to {sum(tf.values())}")
+            pages[page_id] = tf
 
         artifacts.read_records(path, record, TEXTINDEX_HEADER)
         if not stats:
             raise MalformedRecord(f"{path}: missing collection statistics line")
-        if stats["coll_len"] != sum(page_len.values()):
+        index = cls(pages.items(), stats["mu"])
+        if stats["coll_len"] != index.coll_len:
             raise MalformedRecord(f"{path}: collection_length {stats['coll_len']} is not the "
-                                  f"sum of the page lengths, {sum(page_len.values())}")
-        coll_tf = Counter()
-        for tf in page_tf.values():
-            coll_tf.update(tf)
-        return cls(page_tf, page_len, coll_tf, stats["coll_len"], stats["mu"])
+                                  f"sum of the page lengths, {index.coll_len}")
+        return index
 
 
-def lm_score(keywords, page_id: str, index: TextIndex, mu: float | None = None) -> float:
-    """Dirichlet-smoothed log query likelihood of a page.
+def lm_score(keywords, page_ids, index: TextIndex, mu: float | None = None) -> np.ndarray:
+    """Dirichlet-smoothed log query likelihood of each page of page_ids.
 
     Terms absent from the whole collection are skipped (contribute 0); an
-    empty keyword list scores 0 for every page.
+    empty keyword list scores 0 for every page.  Each keyword adds its log
+    probabilities in keyword order, taken with math.log over its distinct
+    arguments (np.log can differ in the last bit), as a page-at-a-time loop would.
     """
-    if page_id not in index.page_tf:
-        raise UnknownPage(page_id)
+    try:
+        rows = np.array(list(map(index.page_row.__getitem__, page_ids)), dtype=np.intp)
+    except KeyError as exc:
+        raise UnknownPage(exc.args[0]) from None
     mu = index.mu if mu is None else mu
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
-    tf = index.page_tf[page_id]
-    length = index.page_len[page_id]
-    score = 0.0
+    if not 0 < mu < math.inf:
+        raise ValueError("mu must be finite and > 0")
+    length = index.page_len[rows]
+    score = np.zeros(len(rows))
     for w in keywords:
-        cf = index.coll_tf.get(w, 0)
-        if cf == 0:
+        term = index.term_id.get(w)
+        if term is None:
             continue
-        p_coll = cf / index.coll_len
-        score += math.log((tf.get(w, 0) + mu * p_coll) / (length + mu))
+        hits = index.term_ids == term
+        tf = np.zeros(len(index.page_ids), dtype=np.int64)
+        tf[index.entry_page[hits]] = index.tf[hits]
+        p_coll = int(index.coll_tf[term]) / index.coll_len
+        distinct, inverse = np.unique((tf[rows] + mu * p_coll) / (length + mu),
+                                      return_inverse=True)
+        score += np.array([math.log(x) for x in distinct.tolist()])[inverse]
     return score
 
 
@@ -172,22 +191,16 @@ def _content_seed(base_seed: int, formula: TokenizedFormula) -> int:
 @dataclass
 class FormulaVectorProvider:
     """Resolves formulae to vectors: the trained row if the formula was in
-    the training corpus, else a content-seeded inference, memoised by
-    content (the space-joined surfaces)."""
+    the training corpus, else an inference seeded by the table's seed and
+    the content (the space-joined surfaces), memoised by content."""
 
     table: EmbeddingTable
     infer_steps: int = DEFAULT_INFER_STEPS
-    infer_lr: float | None = None
-    base_seed: int | None = None
     _inferred: dict[str, np.ndarray | None] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.table.config.mode is not Mode.FORMULA2VEC:
             raise ValueError("provider needs a table trained in formula2vec mode")
-        if self.infer_lr is None:
-            self.infer_lr = self.table.config.lr_start
-        if self.base_seed is None:
-            self.base_seed = self.table.config.seed
 
     def vectors_for(self, formulae) -> list[np.ndarray | None]:
         """The vector of each formula, None where every token is out of
@@ -203,8 +216,8 @@ class FormulaVectorProvider:
         if pending:
             inferred = infer_vectors(
                 [f.tokens for f in pending.values()], self.table,
-                [_content_seed(self.base_seed, f) for f in pending.values()],
-                steps=self.infer_steps, lr=self.infer_lr)
+                [_content_seed(self.table.config.seed, f) for f in pending.values()],
+                steps=self.infer_steps, lr=self.table.config.lr_start)
             self._inferred.update(zip(pending, inferred))
         return [self._inferred[key] if vec is None else vec
                 for key, vec in zip(keys, trained)]
@@ -213,17 +226,9 @@ class FormulaVectorProvider:
         return self.vectors_for([formula])[0]
 
 
-def _resolve(provider, formulae) -> list[np.ndarray | None]:
-    """Vectors from a FormulaVectorProvider in one batch, or from any object
-    with vector_for(formula), one call per formula."""
-    if isinstance(provider, FormulaVectorProvider):
-        return provider.vectors_for(formulae)
-    return [provider.vector_for(f) for f in formulae]
-
-
 def _query_vectors(query: Query, provider) -> list[np.ndarray]:
     """Vectors of the query formulae that resolve; the others drop out."""
-    return [v for v in _resolve(provider, query.formulae) if v is not None]
+    return [v for v in provider.vectors_for(query.formulae) if v is not None]
 
 
 @dataclass
@@ -247,15 +252,15 @@ class FormulaMatrix:
     @classmethod
     def build(cls, pages, collection: Collection, provider, queries=()) -> "FormulaMatrix":
         """Resolve every formula of the pages through provider (any object
-        with vector_for, or a FormulaVectorProvider, which infers the unseen
-        ones in one batch).  Page formulae that do not resolve drop out.
+        with vectors_for, such as a FormulaVectorProvider, which infers the
+        unseen ones in one batch).  Page formulae that do not resolve drop out.
 
         The formulae of queries join the same batch, so a provider infers
         every unseen formula of a search at once and memoises them for
         rank_pages."""
         pages = list(pages)
         formulae = [collection.formulas[fid] for p in pages for fid in p.formula_ids]
-        vectors = _resolve(provider, formulae + [f for q in queries for f in q.formulae])
+        vectors = provider.vectors_for(formulae + [f for q in queries for f in q.formulae])
         vectors = vectors[:len(formulae)]
         resolved = [vec is not None for vec in vectors]
         page_of = np.repeat(np.arange(len(pages)), [len(p.formula_ids) for p in pages])
@@ -293,7 +298,7 @@ def formula_page_score(query: Query, page: Page, provider,
                        collection: Collection) -> float:
     """Mean over query formulae of the page's mean formula cosine.
 
-    provider is any object with vector_for(formula).  Formulae that cannot
+    provider is any object with vectors_for(formulae).  Formulae that cannot
     be resolved to a vector (all tokens unknown) drop out of their mean; a
     page with no resolvable formula scores the -1 floor.  A query without
     formulae raises NoQueryFormulae, one whose formulae all fail to resolve
@@ -307,10 +312,10 @@ def formula_page_score(query: Query, page: Page, provider,
     return float(FormulaMatrix.build([page], collection, provider).scores(query_vectors)[0])
 
 
-def combined_score(f_norm: float, t_norm: float, alpha: float) -> float:
-    """C = (F + alpha*T) / (1 + alpha) over normalized scores."""
-    if alpha < 0:
-        raise NegativeAlpha(f"alpha={alpha}")
+def combined_score(f_norm, t_norm, alpha: float):
+    """C = (F + alpha*T) / (1 + alpha) over normalized scores (floats or arrays)."""
+    if not 0 <= alpha < math.inf:
+        raise NegativeAlpha(f"alpha must be finite and >= 0, got {alpha}")
     return (f_norm + alpha * t_norm) / (1.0 + alpha)
 
 
@@ -318,32 +323,37 @@ def combined_score(f_norm: float, t_norm: float, alpha: float) -> float:
 # ranking
 
 
-@dataclass
-class PageScore:
-    page_id: str
-    F: float
-    T: float
-    C: float
+PageScore = namedtuple("PageScore", "page_id F T C")
 
 
 @dataclass
 class RankedList:
+    """One query's pages in rank order (descending C, ties by page_id), with
+    the scores F, T and C of each as arrays in the same order."""
+
     query_id: str
-    entries: list[PageScore]   # descending by C, ties by page_id
+    ids: list[str]
+    F: np.ndarray
+    T: np.ndarray
+    C: np.ndarray
     # a formula method ranked a query that has no usable (resolvable) formula
     no_formulae: bool = False
 
     def page_ids(self) -> list[str]:
-        return [e.page_id for e in self.entries]
+        return list(self.ids)
+
+    @property
+    def entries(self) -> list[PageScore]:
+        """The ranking as PageScore tuples, built on each access."""
+        return list(map(PageScore, self.ids, self.F.tolist(), self.T.tolist(), self.C.tolist()))
 
 
-def _minmax(raw: dict[str, float]) -> dict[str, float]:
-    lo = min(raw.values())
-    hi = max(raw.values())
+def _minmax(raw: np.ndarray) -> np.ndarray:
+    """Scores mapped affinely onto [0, 1]; all 0 when they are constant."""
+    lo, hi = raw.min(), raw.max()
     if hi == lo:
-        return {k: 0.0 for k in raw}
-    span = hi - lo
-    return {k: (v - lo) / span for k, v in raw.items()}
+        return np.zeros(len(raw))
+    return (raw - lo) / (hi - lo)
 
 
 def rank_pages(query: Query, collection: Collection, method: RankMethod,
@@ -357,10 +367,11 @@ def rank_pages(query: Query, collection: Collection, method: RankMethod,
     score; for COMBINED, F and T are the min-max normalized scores and
     C = (F + alpha*T)/(1+alpha) exactly.  formulas is the collection's
     FormulaMatrix for provider; built here when not given, so a caller that
-    ranks many queries builds it once and passes it.
+    ranks many queries builds it once and passes it.  Pages are ordered by
+    (-C, page_id) with np.lexsort.
 
     A query with no usable formula (none at all, or none that resolves) is
-    flagged no_formulae: FORMULA2VEC returns no entries for it, and COMBINED
+    flagged no_formulae: FORMULA2VEC returns no pages for it, and COMBINED
     takes F as constant, 0 after min-max, so it orders pages as LM does.
     """
     uses_formulae = method in (RankMethod.FORMULA2VEC, RankMethod.COMBINED)
@@ -368,48 +379,35 @@ def rank_pages(query: Query, collection: Collection, method: RankMethod,
         raise ValueError(f"{method.value} ranking needs formula vectors")
     if method in (RankMethod.LM, RankMethod.COMBINED) and index is None:
         raise ValueError(f"{method.value} ranking needs a text index")
-    if alpha < 0:
-        raise NegativeAlpha(f"alpha={alpha}")
 
-    raw_f: dict[str, float] = {}
-    raw_t: dict[str, float] = {}
-    no_formulae = False
-    if uses_formulae:
-        query_vectors = _query_vectors(query, provider)
-        no_formulae = not query_vectors
-        if no_formulae:
-            if method is RankMethod.FORMULA2VEC:
-                return RankedList(query.query_id, [], no_formulae=True)
-            raw_f = {page.page_id: 0.0 for page in collection.pages}
-        else:
-            if formulas is None:
-                formulas = FormulaMatrix.build(collection.pages, collection, provider)
-            raw_f = dict(zip(formulas.page_ids, formulas.scores(query_vectors).tolist()))
-    if method in (RankMethod.LM, RankMethod.COMBINED):
-        for page in collection.pages:
-            raw_t[page.page_id] = lm_score(query.keywords, page.page_id, index, mu=mu)
-
-    entries = []
+    ids = [page.page_id for page in collection.pages]
+    F = np.zeros(len(ids))
+    query_vectors = _query_vectors(query, provider) if uses_formulae else []
+    no_formulae = uses_formulae and not query_vectors
+    if no_formulae and method is RankMethod.FORMULA2VEC:
+        return RankedList(query.query_id, [], F[:0], F[:0], F[:0], no_formulae=True)
+    if query_vectors:
+        if formulas is None:
+            formulas = FormulaMatrix.build(collection.pages, collection, provider)
+        ids, F = formulas.page_ids, formulas.scores(query_vectors)
     if method is RankMethod.FORMULA2VEC:
-        entries = [PageScore(pid, f, 0.0, f) for pid, f in raw_f.items()]
+        C, T = F, np.zeros(len(ids))
     elif method is RankMethod.LM:
-        entries = [PageScore(pid, 0.0, t, t) for pid, t in raw_t.items()]
+        C = T = lm_score(query.keywords, ids, index, mu=mu)
     else:
-        f_norm = _minmax(raw_f)
-        t_norm = _minmax(raw_t)
-        entries = [
-            PageScore(pid, f_norm[pid], t_norm[pid],
-                      combined_score(f_norm[pid], t_norm[pid], alpha))
-            for pid in raw_f
-        ]
-    entries.sort(key=lambda e: (-e.C, e.page_id))
-    return RankedList(query.query_id, entries, no_formulae=no_formulae)
+        F, T = _minmax(F), _minmax(lm_score(query.keywords, ids, index, mu=mu))
+        C = combined_score(F, T, alpha)
+    ids = np.array(ids, dtype=object)
+    order = np.lexsort((ids, -C))
+    return RankedList(query.query_id, ids[order].tolist(), F[order], T[order], C[order],
+                      no_formulae=no_formulae)
 
 
 def write_run(ranked_lists, path, tag: str = "mathemb", top: int = 1000,
               meta: dict | None = None) -> None:
     """TREC run format: query_id Q0 page_id rank score tag.  meta keys go into
     the comment line in order."""
-    artifacts.write(path, [f"{rl.query_id} Q0 {entry.page_id} {rank} {entry.C:.6f} {tag}"
+    artifacts.write(path, [f"{rl.query_id} Q0 {page_id} {rank} {c:.6f} {tag}"
                            for rl in ranked_lists
-                           for rank, entry in enumerate(rl.entries[:top], start=1)], meta=meta)
+                           for rank, (page_id, c) in enumerate(
+                               zip(rl.ids[:top], rl.C[:top].tolist()), start=1)], meta=meta)

@@ -2,13 +2,14 @@
 
 Everything here is deliberately written from the rule statements, not from
 the production code: a character-level scanner for tokenization, flat-loop
-metric and page-score computations, one-position SGD steps and inference,
-and a finite-difference probe for the training updates.  Tests compare
-production output against these.
+metric, page-score and language-model computations, one-position SGD steps
+and inference, and a finite-difference probe for the training updates.
+Tests compare production output against these.
 """
 
 import math
 import string
+from collections import Counter
 from importlib import resources
 
 import numpy as np
@@ -151,6 +152,23 @@ def oracle_page_score(query_vecs, page_vecs):
         for pv in page_vecs:
             total += oracle_cosine(qv, pv)
     return total / (len(query_vecs) * len(page_vecs))
+
+
+def oracle_lm_score(keywords, page_terms, collection_terms, mu):
+    """Dirichlet-smoothed log query likelihood of one page, one keyword at a
+    time: page_terms is the page's term list, collection_terms the term list
+    of every page.  Keywords absent from the collection add nothing."""
+    tf = Counter(page_terms)
+    coll_tf = Counter(t for terms in collection_terms for t in terms)
+    coll_len = sum(len(terms) for terms in collection_terms)
+    score = 0.0
+    for w in keywords:
+        cf = coll_tf.get(w, 0)
+        if cf == 0:
+            continue
+        p_coll = cf / coll_len
+        score += math.log((tf.get(w, 0) + mu * p_coll) / (len(page_terms) + mu))
+    return score
 
 
 # ---------------------------------------------------------------------------

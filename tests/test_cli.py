@@ -219,24 +219,41 @@ class TestPipeline:
                 assert got == [ln.split()[2] for ln in lm if ln.split()[0] == qid]
                 assert len(got) > 1
 
-    @pytest.mark.parametrize("extra", [["--top", "-1"], ["--top", "0"], ["--steps", "-3"]],
-                             ids=["top-negative", "top-zero", "steps-negative"])
-    def test_search_rejects_out_of_range_counts(self, pipeline, tmp_path, capsys, extra):
+    @pytest.mark.parametrize("extra,rule", [
+        (["--top", "-1"], ">= 1"), (["--top", "0"], ">= 1"), (["--steps", "-3"], ">= 0"),
+        (["--mu", "nan"], "finite and > 0"), (["--mu", "inf"], "finite and > 0"),
+        (["--mu", "0"], "finite and > 0"), (["--alpha", "nan"], "finite and >= 0"),
+        (["--alpha", "inf"], "finite and >= 0"), (["--alpha", "-1"], "finite and >= 0"),
+    ], ids=["top-negative", "top-zero", "steps-negative", "mu-nan", "mu-inf", "mu-zero",
+            "alpha-nan", "alpha-inf", "alpha-negative"])
+    def test_search_rejects_out_of_range_counts(self, pipeline, tmp_path, capsys, extra, rule):
         out = tmp_path / "r.run"
         assert self.search(pipeline, out, "lm", *extra) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {extra[0]} must be >= {1 if extra[0] == '--top' else 0}\n"
+        assert capsys.readouterr().err == f"error: {extra[0]} must be {rule}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra", [["--steps", "-1"], ["--threshold", "0"]],
-                             ids=["steps-negative", "threshold-zero"])
-    def test_sweep_rejects_out_of_range_values(self, pipeline, tmp_path, capsys, extra):
+    @pytest.mark.parametrize("extra,rule", [
+        (["--steps", "-1"], ">= 0"), (["--threshold", "0"], ">= 1"),
+        (["--values", "0,nan"], "finite and >= 0"), (["--values", "inf"], "finite and >= 0"),
+        (["--values", "4,-1"], "finite and >= 0"), (["--alpha", "nan"], "finite and >= 0"),
+        (["--mu", "inf"], "finite and > 0"),
+    ], ids=["steps-negative", "threshold-zero", "values-nan", "values-inf", "values-negative",
+            "alpha-nan", "mu-inf"])
+    def test_sweep_rejects_out_of_range_values(self, pipeline, tmp_path, capsys, extra, rule):
         out = tmp_path / "sweep.tsv"
         assert main(["sweep", "--axis", "alpha", "--values", "0,4",
                      "--store", str(pipeline["store"]), "--corpus", str(pipeline["train"]),
                      "--queries", str(QUERIES_PATH), "--qrels", str(QRELS_PATH),
                      "--dim", "8", "--epochs", "1", "--out", str(out), *extra]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {extra[0]} must be >= ")
+        assert capsys.readouterr().err == f"error: {extra[0]} must be {rule}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-inf", "0"])
+    def test_index_text_rejects_bad_mu(self, pipeline, tmp_path, capsys, mu):
+        out = tmp_path / "t.index"
+        assert main(["index-text", "--store", str(pipeline["store"]), "--out", str(out),
+                     f"--mu={mu}"]) == 2
+        assert capsys.readouterr().err == "error: --mu must be finite and > 0\n"
         assert not out.exists()
 
     def test_evaluate_rejects_threshold_below_one(self, pipeline, capsys):

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,17 +19,17 @@ from mathemb.retrieval import (
 )
 from mathemb.tokenizer import TokenizedFormula, tokenize
 
-from oracles import oracle_page_score
+from oracles import oracle_lm_score, oracle_page_score
 
 
 class StubProvider:
-    """vector_for backed by a fixed id->vector map (None = unresolvable)."""
+    """vectors_for backed by a fixed id->vector map (None = unresolvable)."""
 
     def __init__(self, mapping):
         self.mapping = mapping
 
-    def vector_for(self, formula):
-        return self.mapping.get(formula.id)
+    def vectors_for(self, formulae):
+        return [self.mapping.get(f.id) for f in formulae]
 
 
 def unit_at(cos_value):
@@ -59,16 +61,22 @@ def make_query(vecs):
 
 class TestTextIndex:
     def test_invariants_on_fixture(self, fixture_collection, fixture_index):
-        for p in fixture_collection.pages:
-            assert sum(fixture_index.page_tf[p.page_id].values()) == \
-                fixture_index.page_len[p.page_id] == len(p.text_terms)
-        for term, cf in fixture_index.coll_tf.items():
-            assert cf == sum(tf.get(term, 0) for tf in fixture_index.page_tf.values())
-        assert fixture_index.coll_len == sum(fixture_index.page_len.values())
+        idx = fixture_index
+        terms = list(idx.term_id)
+        assert idx.page_ids == [p.page_id for p in fixture_collection.pages]
+        for i, p in enumerate(fixture_collection.pages):
+            start, end = idx.offsets[i], idx.offsets[i + 1]
+            tf = {terms[t]: int(c) for t, c in zip(idx.term_ids[start:end], idx.tf[start:end])}
+            assert tf == Counter(p.text_terms)
+            assert idx.page_len[i] == len(p.text_terms)
+        every_term = Counter(t for p in fixture_collection.pages for t in p.text_terms)
+        assert {term: int(idx.coll_tf[i]) for term, i in idx.term_id.items()} == every_term
+        assert idx.coll_len == sum(idx.page_len) == sum(every_term.values())
 
     def test_mu_positive_required(self, fixture_collection):
-        with pytest.raises(ValueError):
-            TextIndex.build(fixture_collection, mu=0.0)
+        for mu in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                TextIndex.build(fixture_collection, mu=mu)
 
     def test_save_load_round_trip(self, fixture_index, tmp_path):
         p1 = tmp_path / "i1.txt"
@@ -84,12 +92,16 @@ class TestTextIndex:
         ("collection_length", 1, "i.txt: collection_length 1 is not the sum"),
         ("length", 1, "i.txt:3: page .* has length 1"),
         ("mu", 0, "i.txt:2: mu must be > 0"),
+        ("mu", math.nan, "i.txt:2: mu must be > 0 and finite, got nan"),
+        ("mu", math.inf, "i.txt:2: mu must be > 0 and finite, got inf"),
+        ("tf", {"a": 2, "b": -1}, "i.txt:3: page .* has a count that is not an integer > 0"),
+        ("tf", {"a": 1.5}, "i.txt:3: page .* has a count that is not an integer > 0"),
     ])
     def test_inconsistent_index_rejected(self, fixture_index, tmp_path, field, value, match):
         p = tmp_path / "i.txt"
         fixture_index.save(p)
         lines = p.read_text().splitlines()
-        line_no = 2 if field == "length" else 1
+        line_no = 1 if field in ("collection_length", "mu") else 2
         rec = json.loads(lines[line_no])
         rec[field] = value
         lines[line_no] = json.dumps(rec)
@@ -106,28 +118,26 @@ class TestLmScore:
 
     def test_hand_computed_smoothing(self):
         idx = self.one_page_index()
-        got = lm_score(["a"], "d", idx)
+        got = lm_score(["a"], ["d"], idx)[0]
         assert got == pytest.approx(math.log((2 + 1 * (2 / 3)) / (3 + 1)), abs=1e-12)
         assert got == pytest.approx(math.log(0.66667), abs=1e-5)
 
     def test_unknown_terms_skipped(self):
         idx = self.one_page_index()
-        assert lm_score(["zzz"], "d", idx) == 0.0
-        assert lm_score(["a", "zzz"], "d", idx) == lm_score(["a"], "d", idx)
+        assert lm_score(["zzz"], ["d"], idx)[0] == 0.0
+        assert lm_score(["a", "zzz"], ["d"], idx)[0] == lm_score(["a"], ["d"], idx)[0]
 
     def test_empty_keywords_scores_zero(self, fixture_collection, fixture_index):
-        for p in fixture_collection.pages:
-            assert lm_score([], p.page_id, fixture_index) == 0.0
+        ids = [p.page_id for p in fixture_collection.pages]
+        assert lm_score([], ids, fixture_index).tolist() == [0.0] * len(ids)
 
     def test_unknown_page(self, fixture_index):
-        with pytest.raises(UnknownPage):
-            lm_score(["a"], "nope", fixture_index)
+        with pytest.raises(UnknownPage, match="nope"):
+            lm_score(["a"], [fixture_index.page_ids[0], "nope"], fixture_index)
 
     def test_huge_mu_makes_pages_tie(self, fixture_collection):
         idx = TextIndex.build(fixture_collection, mu=1e12)
-        scores = {p.page_id: lm_score(["matrix", "inverse"], p.page_id, idx)
-                  for p in fixture_collection.pages}
-        vals = list(scores.values())
+        vals = lm_score(["matrix", "inverse"], idx.page_ids, idx)
         assert max(vals) - min(vals) < 1e-9
 
     def test_term_addition_monotonicity(self):
@@ -139,7 +149,7 @@ class TestLmScore:
             coll.pages.append(Page("A", "A", normalize_text(a_text), []))
             coll.pages.append(Page("B", "B", normalize_text("filler words here"), []))
             idx = TextIndex.build(coll, mu=10.0)
-            return lm_score(["term"], "A", idx), lm_score(["term"], "B", idx)
+            return lm_score(["term"], ["A", "B"], idx).tolist()
 
         texts = ["term base words", "term term base words", "term term term base words"]
         previous_a = -math.inf
@@ -148,6 +158,39 @@ class TestLmScore:
             assert a > previous_a
             assert a > b
             previous_a = a
+
+    @pytest.mark.parametrize("mu", [None, 1.0, 37.5])
+    def test_matches_page_at_a_time_oracle_exactly(self, fixture_collection,
+                                                   fixture_queries, fixture_index, mu):
+        # every page in a shuffled order, fixture queries plus a repeated
+        # keyword, an out-of-vocabulary keyword and no keyword at all
+        pages = list(fixture_collection.pages)
+        random.Random(3).shuffle(pages)
+        terms = [p.text_terms for p in fixture_collection.pages]
+        vocab = sorted({t for p in pages for t in p.text_terms})
+        keyword_lists = [q.keywords for q in fixture_queries] + [
+            [vocab[0], vocab[5], vocab[0]], ["zzz-not-a-term", vocab[1]], []]
+        for keywords in keyword_lists:
+            got = lm_score(keywords, [p.page_id for p in pages], fixture_index, mu=mu)
+            want = [oracle_lm_score(keywords, p.text_terms, terms, mu or fixture_index.mu)
+                    for p in pages]
+            assert got.tolist() == want
+
+
+    def test_matches_oracle_exactly_on_random_collections(self):
+        # thousands of distinct log arguments, where np.log and math.log
+        # disagree in the last bit on some
+        rng = random.Random(29)
+        words = [f"w{i}" for i in range(40)]
+        for mu in (0.5, 17.0, 2000.0):
+            terms = [rng.choices(words, k=rng.randint(0, 60)) for _ in range(150)]
+            coll = Collection()
+            coll.pages = [Page(f"p{i}", "", t, []) for i, t in enumerate(terms)]
+            idx = TextIndex.build(coll, mu=mu)
+            for _ in range(10):
+                keywords = rng.choices(words + ["unseen"], k=rng.randint(1, 5))
+                got = lm_score(keywords, idx.page_ids, idx)
+                assert got.tolist() == [oracle_lm_score(keywords, t, terms, mu) for t in terms]
 
 
 class TestFormulaPageScore:
@@ -227,40 +270,42 @@ class TestFormulaPageScore:
 
 class TestCombinedScore:
     def test_alpha_four_substitution(self):
-        assert combined_score(0.2, 0.6, 4.0) == pytest.approx(0.52, abs=1e-12)
+        got = combined_score(np.array([0.2, 1.0]), np.array([0.6, 0.0]), 4.0)
+        assert got == pytest.approx([0.52, 0.2], abs=1e-12)
 
     def test_alpha_zero_is_formula_only(self):
-        assert combined_score(0.3, 0.9, 0.0) == 0.3
+        assert combined_score(np.array([0.3]), np.array([0.9]), 0.0).tolist() == [0.3]
 
-    @given(st.floats(0, 1), st.floats(0, 1e6))
-    def test_fixed_point(self, x, alpha):
+    @given(st.lists(st.floats(0, 1), min_size=1, max_size=5), st.floats(0, 1e6))
+    def test_fixed_point(self, xs, alpha):
+        x = np.array(xs)
         assert combined_score(x, x, alpha) == pytest.approx(x, abs=1e-9)
 
     def test_negative_alpha(self):
-        with pytest.raises(NegativeAlpha):
-            combined_score(0.5, 0.5, -0.1)
+        for alpha in (-0.1, math.nan, math.inf):
+            with pytest.raises(NegativeAlpha):
+                combined_score(np.array([0.5]), np.array([0.5]), alpha)
 
     def test_large_alpha_tends_to_text(self):
-        assert combined_score(0.0, 1.0, 1e9) == pytest.approx(1.0, abs=1e-8)
+        got = combined_score(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1e9)
+        assert got == pytest.approx([1.0, 0.0], abs=1e-8)
 
 
 class TestMinMax:
     @given(st.lists(st.integers(-100, 100), min_size=2, max_size=10, unique=True),
            st.floats(0.1, 50), st.floats(-100, 100))
     def test_affine_invariance(self, values, scale, shift):
-        raw = {f"p{i}": float(v) for i, v in enumerate(values)}
-        transformed = {k: scale * v + shift for k, v in raw.items()}
+        raw = np.array(values, dtype=float)
         a = _minmax(raw)
-        b = _minmax(transformed)
-        for k in raw:
-            assert a[k] == pytest.approx(b[k], abs=1e-9)
+        b = _minmax(scale * raw + shift)
+        assert a == pytest.approx(b, abs=1e-9)
 
     def test_constant_scores_map_to_zero(self):
-        assert _minmax({"a": 3.0, "b": 3.0}) == {"a": 0.0, "b": 0.0}
+        assert _minmax(np.array([3.0, 3.0])).tolist() == [0.0, 0.0]
 
     def test_range(self):
-        out = _minmax({"a": -5.0, "b": 1.0, "c": 3.0})
-        assert out["a"] == 0.0 and out["c"] == 1.0 and 0.0 < out["b"] < 1.0
+        out = _minmax(np.array([-5.0, 1.0, 3.0]))
+        assert out[0] == 0.0 and out[2] == 1.0 and 0.0 < out[1] < 1.0
 
 
 @pytest.fixture(scope="module")
@@ -294,12 +339,29 @@ class TestRankPages:
         assert len(set(ids)) == len(ids)
 
     def test_sorted_with_page_id_tiebreak(self, fixture_collection, fixture_queries,
-                                          fixture_index):
-        rl = rank_pages(fixture_queries[0], fixture_collection, RankMethod.LM,
-                        index=fixture_index)
-        for a, b in zip(rl.entries, rl.entries[1:]):
-            assert (a.C, b.page_id) > (b.C, a.page_id) or a.C > b.C or \
-                (a.C == b.C and a.page_id < b.page_id)
+                                          provider):
+        # the fixture plus pages of identical text and formulae (exact ties
+        # in every method) and a keyword-only query, which gives combined
+        # C = 0.0 for the pages without its keywords
+        coll = Collection()
+        coll.formulas = dict(fixture_collection.formulas)
+        coll.pages = list(fixture_collection.pages)
+        for source in (coll.pages[0], coll.pages[-1]):
+            coll.pages += [Page(f"{pid}{source.page_id}", source.title, source.text_terms,
+                                source.formula_ids) for pid in ("twinB", "twinA")]
+        random.Random(11).shuffle(coll.pages)
+        queries = list(fixture_queries) + [Query("kw", ["matrix"], [])]
+        index = TextIndex.build(coll)
+        for method, q in itertools.product(RankMethod, queries):
+            rl = rank_pages(q, coll, method, provider=provider, index=index)
+            if rl.no_formulae and method is RankMethod.FORMULA2VEC:
+                assert rl.page_ids() == [] and rl.entries == []
+                continue
+            assert [e.page_id for e in rl.entries] == rl.page_ids() == rl.ids
+            want = sorted(rl.entries, key=lambda e: (-e.C, e.page_id))
+            assert rl.page_ids() == [e.page_id for e in want]
+            assert sorted(rl.ids) == sorted(p.page_id for p in coll.pages)
+            assert any(a.C == b.C for a, b in zip(rl.entries, rl.entries[1:]))
 
     def test_combined_invariant_exact(self, fixture_collection, fixture_queries,
                                       fixture_index, provider):
