@@ -2,11 +2,13 @@
 
 Subcommands cover the whole pipeline: tokenize, ingest, filter,
 train-symbol2vec, train-formula2vec, neighbors, pca, index-text, search,
-evaluate, sweep.  Configuration precedence is flags > --config file (JSON,
-keys named like the flag dests) > built-in defaults; --dump-config prints the
-resolved configuration and exits.  Every written artifact carries a header
-comment with tool version, seed, and the non-path configuration, so reruns
-with identical inputs and seed are byte-identical.
+evaluate, sweep.  --dump-config prints the resolved configuration as JSON and
+exits.  --config reads such a JSON object (keys: the dests it prints) as flags
+put before the command line's own, which win: null keeps the default, a switch
+takes true or false, a repeatable flag a list, any other key a string or
+number, passed as --flag=value.  Required flags stay on the command line.
+Every artifact's header comment records tool version, seed, and the non-path
+configuration, so reruns with the same inputs and seed are byte-identical.
 
 Exit codes: 0 success, 1 data error (one-line diagnostic on stderr),
 2 usage error.
@@ -26,7 +28,7 @@ from .errors import MalformedRecord, MathembError
 # do not depend on where they were produced
 _PATH_DESTS = {"collection", "out", "store", "corpus", "model", "index",
                "queries", "qrels", "run", "stopwords", "config"}
-_NON_CONFIG = {"func", "command", "dump_config"}
+_NON_CONFIG = {"command", "dump_config", "help"}
 
 REFERENCE_SETTINGS = "reference settings: formula dim=300, alpha=4, mu=2000"
 
@@ -98,7 +100,8 @@ def build_parser():
 
     p = add("pca", "2-D principal-component coordinates of symbol vectors, as TSV")
     p.add_argument("--model", required=True, help="model file prefix")
-    p.add_argument("--components", type=int, default=2)
+    p.add_argument("--components", type=int, default=2,
+                   help="principal components kept (default 2)")
     p.add_argument("--l2-normalize", action="store_true",
                    help="length-normalize vectors before projecting")
     p.add_argument("--out", default=None, help="output TSV (default stdout)")
@@ -112,7 +115,8 @@ def build_parser():
     p = add("search", "rank pages for every query, TREC run output")
     p.add_argument("--store", required=True, help="collection store")
     p.add_argument("--queries", required=True, help="JSON-lines query file")
-    p.add_argument("--method", required=True, choices=["formula2vec", "lm", "combined"])
+    p.add_argument("--method", required=True, choices=["formula2vec", "lm", "combined"],
+                   help="ranking signal: formula vectors, text, or both")
     p.add_argument("--model", default=None, help="model prefix (formula2vec/combined)")
     p.add_argument("--index", default=None, help="text index file (lm/combined)")
     p.add_argument("--alpha", type=float, default=4.0,
@@ -134,47 +138,53 @@ def build_parser():
     p.add_argument("--out", default=None, help="output TSV (default stdout)")
 
     p = add("sweep", "train/rank/evaluate across dimensions or alpha values")
-    p.add_argument("--axis", required=True, choices=["dimension", "alpha"])
+    p.add_argument("--axis", required=True, choices=["dimension", "alpha"],
+                   help="swept parameter: formula vector dimension or --alpha")
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--store", required=True, help="collection store")
     p.add_argument("--corpus", required=True, help="training corpus file")
     p.add_argument("--queries", required=True, help="JSON-lines query file")
     p.add_argument("--qrels", required=True, help="TREC qrels file")
-    p.add_argument("--alpha", type=float, default=4.0)
-    p.add_argument("--mu", type=float, default=2000.0)
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--ks", default="30,50")
-    p.add_argument("--threshold", type=int, default=1)
+    p.add_argument("--alpha", type=float, default=4.0,
+                   help="unused: the alpha axis sweeps --values, the dimension axis "
+                        "ranks by formulae alone (default 4)")
+    p.add_argument("--mu", type=float, default=2000.0,
+                   help="Dirichlet smoothing mass on the alpha axis (default 2000)")
+    p.add_argument("--steps", type=int, default=50,
+                   help="inference passes for unseen formulae (default 50)")
+    p.add_argument("--ks", default="30,50", help="cutoffs for NDCG@k/P@k (default 30,50)")
+    p.add_argument("--threshold", type=int, default=1,
+                   help="relevance binarization grade (default 1)")
     p.add_argument("--out", default=None, help="output TSV (default stdout)")
     _add_training_flags(p, default_dim=300)
 
     return parser, commands
 
 
-def _apply_config_file(argv, commands):
-    """Pre-scan for the subcommand and --config, then lower config values to
-    subparser defaults so explicit flags still win."""
-    command = next((a for a in argv if not a.startswith("-")), None)
-    if command not in commands:
-        return
-    path = None
-    for i, a in enumerate(argv):
-        if a == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif a.startswith("--config="):
-            path = a.split("=", 1)[1]
-    if path is None:
-        return
-    with open(path, encoding="utf-8") as fh:
-        overrides = json.load(fh)
-    if not isinstance(overrides, dict):
+def _argv_with_config(argv, args, subparser) -> list[str]:
+    """argv with the --config file's flags after the subcommand (rules: module docstring)."""
+    with open(args.config, encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
-    subparser = commands[command]
-    valid = {a.dest for a in subparser._actions}
-    unknown = set(overrides) - valid
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    subparser.set_defaults(**overrides)
+    actions = {a.dest: a for a in subparser._actions if a.dest not in _NON_CONFIG}
+    tokens = []
+    for key, value in config.items():
+        if key not in actions:
+            raise ValueError(f"unknown config key {key!r}")
+        flag, switch = actions[key].option_strings[-1], actions[key].nargs == 0
+        repeat = isinstance(actions[key], argparse._AppendAction)
+        values = value if isinstance(value, list) else [value]
+        if value is None or (switch and isinstance(value, bool)):
+            tokens += [flag] if value else []
+        elif switch or isinstance(value, list) != repeat or not all(
+                type(v) in (str, int, float) for v in values):
+            want = "true or false" if switch else "a list" if repeat else "a string or number"
+            raise ValueError(f"config key {key!r} must be {want}")
+        else:
+            tokens += [f"{flag}={v}" for v in values]
+    at = argv.index(args.command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def _resolved_config(args) -> dict:
@@ -366,6 +376,7 @@ def _cmd_sweep(args) -> int:
 
     axis = SweepAxis(args.axis)
     values = _parse_values(args.values)
+    ks = _parse_ks(args.ks)
     config = TrainingConfig(
         dim=args.dim, window=args.window, negatives=args.negatives,
         epochs=args.epochs, lr_start=args.lr_start, lr_end=args.lr_end,
@@ -379,10 +390,9 @@ def _cmd_sweep(args) -> int:
         qrels=parse_qrels(args.qrels),
         config=config, mu=args.mu, alpha=args.alpha, infer_steps=args.steps,
         min_count=args.min_count, power=args.sample_power,
-        ks=_parse_ks(args.ks), threshold=args.threshold,
+        ks=ks, threshold=args.threshold,
     )
-    _write_or_print(sweep_tsv(axis, results, ks=_parse_ks(args.ks), meta=_meta(args)),
-                    args.out)
+    _write_or_print(sweep_tsv(axis, results, ks=ks, meta=_meta(args)), args.out)
     return 0
 
 
@@ -405,8 +415,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        _apply_config_file(argv, commands)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            args = parser.parse_args(_argv_with_config(argv, args, commands[args.command]))
         for flag, least in (("top", 1), ("steps", 0), ("threshold", 1)):
             if getattr(args, flag, least) < least:
                 raise ValueError(f"--{flag} must be >= {least}")
@@ -419,6 +430,12 @@ def main(argv=None) -> int:
         for flag, value in alphas:
             if not 0 <= value < math.inf:
                 raise ValueError(f"--{flag} must be finite and >= 0")
+        if getattr(args, "axis", None) == "dimension" and not all(
+                v.is_integer() and v >= 1 for v in _parse_values(args.values)):
+            raise ValueError("--values must be integers >= 1")
+        tag = getattr(args, "tag", "mathemb")
+        if tag.split() != [tag]:
+            raise ValueError("--tag must be non-empty and hold no whitespace")
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:
@@ -429,10 +446,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return _HANDLERS[args.command](args)
-    except MathembError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MathembError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

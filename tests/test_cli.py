@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mathemb.cli import main
+from mathemb.cli import build_parser, main
 
 from conftest import COLLECTION_PATH, QRELS_PATH, QUERIES_PATH, ROOT, run_full_pipeline
 
@@ -72,11 +72,52 @@ def test_config_file_precedence(tmp_path, capsys):
     assert cfg["alpha"] == 2.0 and cfg["mu"] == 123.0     # flag beats file
 
 
-def test_config_file_unknown_key_rejected(tmp_path, capsys):
+def test_config_flag_abbreviation_applies_file(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"not_a_flag": 1}))
-    assert main(["evaluate", "--run", "r", "--qrels", "q",
-                 "--config", str(cfg_file)]) == 2
+    cfg_file.write_text(json.dumps({"alpha": 9.5}))
+    assert main(["search", "--store", "s", "--queries", "q", "--method", "lm", "--out", "r",
+                 "--conf", str(cfg_file), "--dump-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 9.5
+
+
+# per subcommand: the required flags, then a few non-default ones
+ROUND_TRIP = {
+    "tokenize": ([], []),
+    "ingest": (["--collection", "c", "--out", "o"], ["--stopwords", "sw"]),
+    "filter": (["--store", "s", "--out", "o"], []),
+    "train-symbol2vec": (["--corpus", "c", "--out", "o"],
+                         ["--dim", "7", "--lr-start", "0.5", "--sample-power", "1"]),
+    "train-formula2vec": (["--corpus", "c", "--out", "o"], ["--epochs", "3", "--seed", "-2"]),
+    "neighbors": (["--model", "m"], ["--symbol", "\\sin", "--symbol=-x", "--k", "3"]),
+    "pca": (["--model", "m"], ["--l2-normalize", "--components", "3"]),
+    "index-text": (["--store", "s", "--out", "o"], ["--mu", "5"]),
+    "search": (["--store", "s", "--queries", "q", "--method", "combined", "--out", "r"],
+               ["--model", "m", "--alpha", "0.25", "--top", "7", "--tag=-t"]),
+    "evaluate": (["--run", "r", "--qrels", "q"], ["--ks", "5,10", "--threshold", "2"]),
+    "sweep": (["--axis", "alpha", "--values", "0,1e6", "--store", "s", "--corpus", "c",
+               "--queries", "q", "--qrels", "qr"], ["--mu", "1e-3", "--window", "2"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP))
+def test_dump_config_round_trips_through_config_file(tmp_path, capsys, command):
+    assert sorted(ROUND_TRIP) == sorted(build_parser()[1])
+    required, extra = ROUND_TRIP[command]
+    assert main([command, *required, *extra, "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(dumped)
+    assert main([command, *required, "--config", str(cfg_file), "--dump-config"]) == 0
+    again = json.loads(capsys.readouterr().out)
+    assert again.pop("config") == str(cfg_file)
+    assert again == {k: v for k, v in json.loads(dumped).items() if k != "config"}
+
+
+def test_every_option_has_help():
+    _, commands = build_parser()
+    silent = [f"{name} {a.option_strings[-1]}" for name, p in commands.items()
+              for a in p._actions if a.option_strings and not a.help]
+    assert silent == []
 
 
 def test_version_flag(capsys):
@@ -224,29 +265,76 @@ class TestPipeline:
         (["--mu", "nan"], "finite and > 0"), (["--mu", "inf"], "finite and > 0"),
         (["--mu", "0"], "finite and > 0"), (["--alpha", "nan"], "finite and >= 0"),
         (["--alpha", "inf"], "finite and >= 0"), (["--alpha", "-1"], "finite and >= 0"),
+        (["--tag", "my tag"], "non-empty and hold no whitespace"),
+        (["--tag", ""], "non-empty and hold no whitespace"),
     ], ids=["top-negative", "top-zero", "steps-negative", "mu-nan", "mu-inf", "mu-zero",
-            "alpha-nan", "alpha-inf", "alpha-negative"])
+            "alpha-nan", "alpha-inf", "alpha-negative", "tag-space", "tag-empty"])
     def test_search_rejects_out_of_range_counts(self, pipeline, tmp_path, capsys, extra, rule):
         out = tmp_path / "r.run"
         assert self.search(pipeline, out, "lm", *extra) == 2
         assert capsys.readouterr().err == f"error: {extra[0]} must be {rule}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra,rule", [
-        (["--steps", "-1"], ">= 0"), (["--threshold", "0"], ">= 1"),
-        (["--values", "0,nan"], "finite and >= 0"), (["--values", "inf"], "finite and >= 0"),
-        (["--values", "4,-1"], "finite and >= 0"), (["--alpha", "nan"], "finite and >= 0"),
-        (["--mu", "inf"], "finite and > 0"),
+    @pytest.mark.parametrize("axis,extra,rule", [
+        ("alpha", ["--steps", "-1"], ">= 0"), ("alpha", ["--threshold", "0"], ">= 1"),
+        ("alpha", ["--values", "0,nan"], "finite and >= 0"),
+        ("alpha", ["--values", "inf"], "finite and >= 0"),
+        ("alpha", ["--values", "4,-1"], "finite and >= 0"),
+        ("alpha", ["--alpha", "nan"], "finite and >= 0"),
+        ("alpha", ["--mu", "inf"], "finite and > 0"),
+        ("dimension", ["--steps", "-1"], ">= 0"),
+        ("dimension", ["--alpha", "nan"], "finite and >= 0"),
+        ("dimension", ["--values", "2.5,2"], "integers >= 1"),
+        ("dimension", ["--values", "0"], "integers >= 1"),
+        ("dimension", ["--values", "8,-8"], "integers >= 1"),
+        ("dimension", ["--values", "nan"], "integers >= 1"),
+        ("dimension", ["--values", "inf"], "integers >= 1"),
     ], ids=["steps-negative", "threshold-zero", "values-nan", "values-inf", "values-negative",
-            "alpha-nan", "mu-inf"])
-    def test_sweep_rejects_out_of_range_values(self, pipeline, tmp_path, capsys, extra, rule):
+            "alpha-nan", "mu-inf", "dimension-steps-negative", "dimension-alpha-nan",
+            "dimension-values-fraction", "dimension-values-zero", "dimension-values-negative",
+            "dimension-values-nan", "dimension-values-inf"])
+    def test_sweep_rejects_out_of_range_values(self, pipeline, tmp_path, capsys,
+                                               axis, extra, rule):
         out = tmp_path / "sweep.tsv"
-        assert main(["sweep", "--axis", "alpha", "--values", "0,4",
+        assert main(["sweep", "--axis", axis, "--values", "0,4" if axis == "alpha" else "8",
                      "--store", str(pipeline["store"]), "--corpus", str(pipeline["train"]),
                      "--queries", str(QUERIES_PATH), "--qrels", str(QRELS_PATH),
                      "--dim", "8", "--epochs", "1", "--out", str(out), *extra]) == 2
         assert capsys.readouterr().err == f"error: {extra[0]} must be {rule}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,config,code,message", [
+        ("evaluate", {"not_a_flag": 1}, 2, "error: unknown config key 'not_a_flag'"),
+        ("evaluate", [1], 2, "error: config file must hold a JSON object"),
+        ("index-text", {"mu": None}, 0, ""),
+        ("search", {"top": 2.5}, 2, "argument --top: invalid int value: '2.5'"),
+        ("search", {"top": [1]}, 2, "error: config key 'top' must be a string or number"),
+        ("search", {"method": "bogus"}, 2, "argument --method: invalid choice: 'bogus'"),
+        ("pca", {"l2_normalize": "no"}, 2,
+         "error: config key 'l2_normalize' must be true or false"),
+    ], ids=["unknown-key", "not-object", "mu-null", "top-fraction", "top-list", "method-bogus",
+            "l2-normalize-string"])
+    def test_config_file_values(self, pipeline, tmp_path, capsys, command, config, code,
+                                message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = {
+            "evaluate": ["--run", str(pipeline["run_lm"]), "--qrels", str(QRELS_PATH)],
+            "index-text": ["--store", str(pipeline["store"])],
+            "search": ["--store", str(pipeline["store"]), "--queries", str(QUERIES_PATH),
+                       "--method", "lm", "--index", str(pipeline["index"])],
+            "pca": ["--model", str(pipeline["sym"])],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *argv, "--out", str(out), "--config", str(cfg_file)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 0:       # null keeps the default mu, so this is the pipeline's index
+            assert out.read_bytes() == pipeline["index"].read_bytes()
+        else:
+            assert message in err.splitlines()[-1]
+            assert not out.exists()
 
     @pytest.mark.parametrize("mu", ["nan", "inf", "-inf", "0"])
     def test_index_text_rejects_bad_mu(self, pipeline, tmp_path, capsys, mu):
