@@ -139,15 +139,13 @@ def build_parser():
 
     p = add("sweep", "train/rank/evaluate across dimensions or alpha values")
     p.add_argument("--axis", required=True, choices=["dimension", "alpha"],
-                   help="swept parameter: formula vector dimension or --alpha")
+                   help="swept parameter: formula vector dimension or the combined "
+                        "method's alpha")
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--store", required=True, help="collection store")
     p.add_argument("--corpus", required=True, help="training corpus file")
     p.add_argument("--queries", required=True, help="JSON-lines query file")
     p.add_argument("--qrels", required=True, help="TREC qrels file")
-    p.add_argument("--alpha", type=float, default=4.0,
-                   help="unused: the alpha axis sweeps --values, the dimension axis "
-                        "ranks by formulae alone (default 4)")
     p.add_argument("--mu", type=float, default=2000.0,
                    help="Dirichlet smoothing mass on the alpha axis (default 2000)")
     p.add_argument("--steps", type=int, default=50,
@@ -388,7 +386,7 @@ def _cmd_sweep(args) -> int:
         queries=ingest_queries(args.queries),
         train_corpus=load_training_corpus(args.corpus),
         qrels=parse_qrels(args.qrels),
-        config=config, mu=args.mu, alpha=args.alpha, infer_steps=args.steps,
+        config=config, mu=args.mu, infer_steps=args.steps,
         min_count=args.min_count, power=args.sample_power,
         ks=ks, threshold=args.threshold,
     )
@@ -424,14 +422,17 @@ def main(argv=None) -> int:
         mu = getattr(args, "mu", None)
         if mu is not None and not 0 < mu < math.inf:
             raise ValueError("--mu must be finite and > 0")
+        axis = getattr(args, "axis", None)
+        values = _parse_values(args.values) if axis else []
+        if axis and not values:
+            raise ValueError("--values must hold at least one value")
         alphas = [("alpha", getattr(args, "alpha", 0.0))]
-        if getattr(args, "axis", None) == "alpha":
-            alphas += [("values", v) for v in _parse_values(args.values)]
+        if axis == "alpha":
+            alphas += [("values", v) for v in values]
         for flag, value in alphas:
             if not 0 <= value < math.inf:
                 raise ValueError(f"--{flag} must be finite and >= 0")
-        if getattr(args, "axis", None) == "dimension" and not all(
-                v.is_integer() and v >= 1 for v in _parse_values(args.values)):
+        if axis == "dimension" and not all(v.is_integer() and v >= 1 for v in values):
             raise ValueError("--values must be integers >= 1")
         tag = getattr(args, "tag", "mathemb")
         if tag.split() != [tag]:

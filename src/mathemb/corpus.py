@@ -161,6 +161,10 @@ def filter_corpus(formulas) -> list[TokenizedFormula]:
 # vocabulary
 
 
+# Equal slices of [0, 1) that Vocabulary.quantile looks draws up in.
+_SLICES = 4096
+
+
 @dataclass
 class Vocabulary:
     """Dense surface index plus the negative-sampling distribution."""
@@ -172,6 +176,7 @@ class Vocabulary:
     total_tokens: int = field(init=False)
     sampling_probs: np.ndarray = field(init=False)
     _cumulative: np.ndarray = field(init=False, repr=False)
+    _slices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.index = {s: i for i, s in enumerate(self.surfaces)}
@@ -180,6 +185,12 @@ class Vocabulary:
         self.sampling_probs = weights / weights.sum()
         self._cumulative = np.cumsum(self.sampling_probs)
         self._cumulative[-1] = 1.0
+        # the inverse CDF of every slice [b, b + 1) / _SLICES that holds no
+        # CDF step, -1 for the others; the last slice starts at 1.0
+        edges = np.arange(_SLICES + 2) / _SLICES
+        lo = np.searchsorted(self._cumulative, edges[:-1], side="right")
+        hi = np.searchsorted(self._cumulative, edges[1:], side="left")
+        self._slices = np.where(lo == hi, lo, -1)
 
     def __len__(self) -> int:
         return len(self.surfaces)
@@ -189,8 +200,14 @@ class Vocabulary:
 
     def quantile(self, uniforms) -> np.ndarray:
         """Token indices at the given uniform [0, 1) draws of the sampling
-        distribution (inverse CDF); any array shape."""
-        return np.searchsorted(self._cumulative, uniforms, side="right")
+        distribution (inverse CDF); any array shape.  A draw is looked up in
+        its slice of [0, 1), exactly, as the slice count is a power of two;
+        only the draws in a slice that holds a CDF step are searched for."""
+        uniforms = np.asarray(uniforms, dtype=np.float64)
+        found = self._slices[(uniforms * _SLICES).astype(np.intp)]
+        step = found < 0
+        found[step] = np.searchsorted(self._cumulative, uniforms[step], side="right")
+        return found
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()

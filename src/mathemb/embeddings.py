@@ -14,20 +14,26 @@ updates reproduces the analytic gradient.
 One kernel, _sgd, applies this update to a block of positions at once:
 every gradient in the block is taken from the rows as they were before it,
 and the updates are summed into them (minibatch Hogwild; cbow_step and
-pvdm_step are the kernel on a block of one).  Training walks each epoch's
-positions position-major (the first position of every formula, then the
-second, ...) in blocks of _BLOCK, so a block rarely updates one formula row
-twice; the learning rate falls linearly over the global position index.
+pvdm_step are the kernel on a block of one).  Its gradient core, _gradient,
+takes the dots, the sigmoid step of every output row and the step of every
+member of the mean; _sgd forms the context means and scatters the updates.
+Training walks each epoch's positions position-major (the first position of
+every formula, then the second, ...) in blocks of _BLOCK, so a block rarely
+updates one formula row twice; the learning rate falls linearly over the
+global position index.
 Randomness is drawn in bulk, once per epoch: one call for every window
 width and one for every negative, with negatives that equal their target
 redrawn together, in at most 100 rounds, and then dropped.  Training is
 deterministic for a given (corpus, config, seed).
 
-Inference of unseen formulae (infer_vectors, and infer_vector for one) is
-the same kernel with the trained rows frozen, updating a new formula vector
-alone.  Formulae are therefore independent, and a batch of them runs in
-lockstep, one position of each per step, while every formula draws its
+Inference of unseen formulae (infer_vectors, and infer_vector for one) runs
+the same gradient core with the trained rows frozen, updating a new formula
+vector alone.  Formulae are therefore independent, and a batch of them runs
+in lockstep, one position of each per step, while every formula draws its
 initialization, widths and negatives up front from its own seeded generator.
+What depends only on those draws and the frozen rows (each draw's output
+rows, each context window and its size) is laid out once per block, so a
+step gathers its contexts and updates the formula vectors, nothing more.
 """
 
 from __future__ import annotations
@@ -152,8 +158,19 @@ def nce_loss(center, positive, negatives) -> float:
     return loss
 
 
-def _sgd(words, outputs, docs, ctx, doc_rows, targets, negatives, lr, pad,
-         frozen: bool = False) -> np.ndarray:
+def _gradient(h, u, live, lr, n_members):
+    """The gradient core of _sgd, shared with inference: for m context means
+    h (m, d) against their output rows u (m, k+1, d), target first, returns
+    the dots (m, k+1), the output step (each row's dL/d(u.h) times -lr, 0
+    where live is False) and the step of every member of the mean, (m, d)."""
+    dots = np.einsum("mkd,md->mk", u, h)
+    step = np.exp(-np.logaddexp(0.0, -dots))  # sigma(u.h), overflow-free
+    step[:, 0] -= 1.0                       # dL/d(u.h)
+    step *= live * -np.reshape(lr, (-1, 1))
+    return dots, step, np.einsum("mk,mkd->md", step, u) / n_members[:, None]
+
+
+def _sgd(words, outputs, docs, ctx, doc_rows, targets, negatives, lr, pad) -> np.ndarray:
     """One simultaneous SGD update over m positions; returns each position's
     pre-update loss.
 
@@ -163,7 +180,7 @@ def _sgd(words, outputs, docs, ctx, doc_rows, targets, negatives, lr, pad,
     negatives (m, k) index outputs; a negative equal to pad is dropped.  lr
     is one rate or one per position.  Every gradient is taken at the rows as
     they are on entry and the m updates are summed into them, so a row used
-    twice in the block gets both.  frozen updates docs alone.
+    twice in the block gets both.
     """
     in_ctx = ctx != pad
     n_ctx = np.count_nonzero(in_ctx, axis=1)
@@ -175,21 +192,15 @@ def _sgd(words, outputs, docs, ctx, doc_rows, targets, negatives, lr, pad,
 
     rows = np.concatenate((targets[:, None], negatives), axis=1)
     live = rows != pad
-    u = outputs[rows]
-    dots = np.einsum("mkd,md->mk", u, h)
+    dots, step, member_step = _gradient(h, outputs[rows], live, lr, n_members)
     sign = np.ones(rows.shape[1])
     sign[1:] = -1.0                         # a negative's loss is -log sigma(-u.h)
     loss = -(_log_sigmoid(sign * dots) * live).sum(axis=1)
 
-    step = np.exp(-np.logaddexp(0.0, -dots))  # sigma(u.h), overflow-free
-    step[:, 0] -= 1.0                       # dL/d(u.h)
-    step *= live * -np.reshape(lr, (-1, 1))
-    member_step = np.einsum("mk,mkd->md", step, u) / n_members[:, None]
     if docs is not None:
         np.add.at(docs, doc_rows, member_step)
-    if not frozen:
-        np.add.at(outputs, rows, step[:, :, None] * h[:, None, :])
-        np.add.at(words, ctx[in_ctx], np.repeat(member_step, n_ctx, axis=0))
+    np.add.at(outputs, rows, step[:, :, None] * h[:, None, :])
+    np.add.at(words, ctx[in_ctx], np.repeat(member_step, n_ctx, axis=0))
     return loss
 
 
@@ -353,8 +364,9 @@ def infer_vectors(token_lists, table: EmbeddingTable, seeds, steps: int = 50,
     own np.random.default_rng(seeds[i]) draws, up front, its initialization,
     then every window width, then every negative, so a formula's vector does
     not depend on the others inferred with it (up to the rounding of the
-    batched dot products).  The formulae run in lockstep, one position of
-    each per step, each step one _sgd call over the whole block.  A formula
+    batched dot products).  The formulae run in blocks of _INFER_BLOCK, in
+    lockstep, one position of each per step, each step one _gradient call
+    over the block's running formulae (see _infer_block).  A formula
     whose tokens are all out of vocabulary gets None; steps=0 returns the
     seeded initializations.
     """
@@ -383,36 +395,51 @@ def infer_vectors(token_lists, table: EmbeddingTable, seeds, steps: int = 50,
 
 def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs,
                  steps: int, lr: float) -> np.ndarray:
-    """Lockstep inference of non-empty sequences sorted by length, longest first."""
+    """Lockstep inference of non-empty sequences sorted by length, longest
+    first.  The context windows and every draw's rows are laid out before the
+    step loop, which updates the formula vectors alone."""
     config = table.config
     dim, window, pad = config.dim, config.window, len(table.vocab)
     lens = np.array([len(seq) for seq in seqs])
+    flat, _ = _lay_out(seqs, window, pad)
+    # row p * window + b - 1 is the width-b window around the block's p-th
+    # position (formula by formula); members is its token count plus one, the
+    # formula row
+    centers = np.flatnonzero(flat != pad)
+    contexts = _windows(flat, np.repeat(centers, window),
+                        np.tile(np.arange(1, window + 1), len(centers)), window, pad)
+    members = np.count_nonzero(contexts != pad, axis=1) + 1
+    firsts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+
     n_steps = steps * lens
-    # formula i's draws for its step s sit at row firsts[i] + s
-    firsts = np.concatenate(([0], np.cumsum(n_steps)[:-1]))
+    # draws are step-major: step s's are rows bounds[s]:bounds[s + 1], one
+    # per formula still running, in block order
+    running = np.searchsorted(-n_steps, -np.arange(n_steps[0]))
+    bounds = np.concatenate(([0], np.cumsum(running)))
     vecs = np.empty((len(seqs), dim))
-    widths = np.empty(n_steps.sum(), dtype=np.intp)
-    negatives = np.empty((n_steps.sum(), config.negatives), dtype=np.intp)
+    ctx_rows = np.empty(bounds[-1], dtype=np.int32)
+    out_rows = np.empty((bounds[-1], config.negatives + 1), dtype=np.int32)
     for i, (seq, seed) in enumerate(zip(seqs, seeds)):
         rng = np.random.default_rng(seed)
-        mine = slice(firsts[i], firsts[i] + n_steps[i])
+        mine = bounds[:n_steps[i]] + i
         vecs[i] = rng.uniform(-0.5 / dim, 0.5 / dim, dim)
-        widths[mine] = rng.integers(1, window + 1, n_steps[i])
-        negatives[mine] = _negatives(table.vocab, rng, np.tile(seq, steps), config.negatives, pad)
+        positions = np.tile(np.arange(firsts[i], firsts[i] + lens[i]), steps)
+        ctx_rows[mine] = positions * window + rng.integers(1, window + 1, n_steps[i]) - 1
+        out_rows[mine, 0] = targets = np.tile(seq, steps)
+        out_rows[mine, 1:] = _negatives(table.vocab, rng, targets, config.negatives, pad)
 
-    flat, starts = _lay_out(seqs, window, pad)
-    rows = np.arange(len(seqs))
     lr_end = min(lr, config.lr_end)
     totals = np.maximum(1, n_steps - 1)
-    active = len(seqs)
-    for step in range(int(n_steps[0])):
-        while n_steps[active - 1] <= step:
-            active -= 1
-        centers = starts[:active] + step % lens[:active]
-        at = firsts[:active] + step
-        _sgd(words, outputs, vecs, _windows(flat, centers, widths[at], window, pad),
-             rows[:active], flat[centers], negatives[at],
-             lr - (lr - lr_end) * (step / totals[:active]), pad, frozen=True)
+    for step, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        active = stop - start
+        ctx, out = ctx_rows[start:stop], out_rows[start:stop]
+        n_members = members[ctx]
+        h = words[contexts[ctx]].sum(axis=1)
+        h += vecs[:active]
+        h /= n_members[:, None]
+        _, _, member_step = _gradient(h, outputs[out], out != pad,
+                                      lr - (lr - lr_end) * (step / totals[:active]), n_members)
+        vecs[:active] += member_step
     return vecs
 
 

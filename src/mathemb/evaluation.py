@@ -202,7 +202,7 @@ class SweepAxis(Enum):
 
 
 def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
-          config, mu=None, alpha=None, infer_steps=None, min_count: int = 1,
+          config, mu=None, infer_steps=None, min_count: int = 1,
           power: float = 0.75, ks=(30, 50), threshold: int = 1):
     """Train/rank/evaluate across one swept parameter.
 
@@ -221,7 +221,6 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
     if not values:
         raise ValueError("sweep needs at least one value")
     mu = DEFAULT_MU if mu is None else mu
-    alpha = DEFAULT_ALPHA if alpha is None else alpha
     infer_steps = DEFAULT_INFER_STEPS if infer_steps is None else infer_steps
 
     vocab = build_vocabulary(train_corpus, min_count=min_count, power=power)
@@ -230,9 +229,9 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
         provider = FormulaVectorProvider(table, infer_steps=infer_steps)
         return provider, FormulaMatrix.build(collection.pages, collection, provider, queries)
 
-    def run_dict(method, provider, formulas, index, a):
+    def run_dict(method, provider, formulas, index=None, alpha=DEFAULT_ALPHA):
         ranked = [rank_pages(q, collection, method, provider=provider, index=index,
-                             alpha=a, mu=mu, formulas=formulas) for q in queries]
+                             alpha=alpha, mu=mu, formulas=formulas) for q in queries]
         return {rl.query_id: list(zip(rl.ids, rl.C.tolist())) for rl in ranked}
 
     results = []
@@ -241,7 +240,7 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
             cfg = replace(config, dim=int(v), mode=Mode.FORMULA2VEC)
             table = train_formula2vec(train_corpus, vocab, cfg)
             provider, formulas = formula_provider(table)
-            run = run_dict(RankMethod.FORMULA2VEC, provider, formulas, None, alpha)
+            run = run_dict(RankMethod.FORMULA2VEC, provider, formulas)
             results.append((float(v), evaluate_core(run, qrels, ks, threshold)))
     elif axis is SweepAxis.ALPHA:
         cfg = replace(config, mode=Mode.FORMULA2VEC)

@@ -257,6 +257,56 @@ def oracle_infer_vector(surfaces, table, steps, lr, seed):
     return v
 
 
+def oracle_infer_block(seqs, seeds, table, words, outputs, steps, lr):
+    """The lockstep inference loop as it stood before the frozen quantities
+    left it: a drop-in for embeddings._infer_block that rebuilds each step's
+    context with _windows and applies the whole frozen SGD step (context
+    mean, sigmoid step, np.add.at into the formula rows), in the operation
+    order whose results the production loop must reproduce bit for bit."""
+    from mathemb.embeddings import _lay_out, _negatives, _windows
+
+    config = table.config
+    dim, window, pad = config.dim, config.window, len(table.vocab)
+    lens = np.array([len(seq) for seq in seqs])
+    n_steps = steps * lens
+    firsts = np.concatenate(([0], np.cumsum(n_steps)[:-1]))
+    vecs = np.empty((len(seqs), dim))
+    widths = np.empty(n_steps.sum(), dtype=np.intp)
+    negatives = np.empty((n_steps.sum(), config.negatives), dtype=np.intp)
+    for i, (seq, seed) in enumerate(zip(seqs, seeds)):
+        rng = np.random.default_rng(seed)
+        mine = slice(firsts[i], firsts[i] + n_steps[i])
+        vecs[i] = rng.uniform(-0.5 / dim, 0.5 / dim, dim)
+        widths[mine] = rng.integers(1, window + 1, n_steps[i])
+        negatives[mine] = _negatives(table.vocab, rng, np.tile(seq, steps), config.negatives, pad)
+
+    flat, starts = _lay_out(seqs, window, pad)
+    doc_rows = np.arange(len(seqs))
+    lr_end = min(lr, config.lr_end)
+    totals = np.maximum(1, n_steps - 1)
+    active = len(seqs)
+    for step in range(int(n_steps[0])):
+        while n_steps[active - 1] <= step:
+            active -= 1
+        centers = starts[:active] + step % lens[:active]
+        at = firsts[:active] + step
+        ctx = _windows(flat, centers, widths[at], window, pad)
+        cur_lr = lr - (lr - lr_end) * (step / totals[:active])
+        n_members = np.count_nonzero(ctx != pad, axis=1) + 1
+        h = words[ctx].sum(axis=1)
+        h += vecs[doc_rows[:active]]
+        h /= n_members[:, None]
+        rows = np.concatenate((flat[centers][:, None], negatives[at]), axis=1)
+        live = rows != pad
+        u = outputs[rows]
+        dots = np.einsum("mkd,md->mk", u, h)
+        g = np.exp(-np.logaddexp(0.0, -dots))
+        g[:, 0] -= 1.0
+        g *= live * -np.reshape(cur_lr, (-1, 1))
+        np.add.at(vecs, doc_rows[:active], np.einsum("mk,mkd->md", g, u) / n_members[:, None])
+    return vecs
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 

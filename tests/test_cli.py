@@ -280,19 +280,17 @@ class TestPipeline:
         ("alpha", ["--values", "0,nan"], "finite and >= 0"),
         ("alpha", ["--values", "inf"], "finite and >= 0"),
         ("alpha", ["--values", "4,-1"], "finite and >= 0"),
-        ("alpha", ["--alpha", "nan"], "finite and >= 0"),
         ("alpha", ["--mu", "inf"], "finite and > 0"),
         ("dimension", ["--steps", "-1"], ">= 0"),
-        ("dimension", ["--alpha", "nan"], "finite and >= 0"),
         ("dimension", ["--values", "2.5,2"], "integers >= 1"),
         ("dimension", ["--values", "0"], "integers >= 1"),
         ("dimension", ["--values", "8,-8"], "integers >= 1"),
         ("dimension", ["--values", "nan"], "integers >= 1"),
         ("dimension", ["--values", "inf"], "integers >= 1"),
     ], ids=["steps-negative", "threshold-zero", "values-nan", "values-inf", "values-negative",
-            "alpha-nan", "mu-inf", "dimension-steps-negative", "dimension-alpha-nan",
-            "dimension-values-fraction", "dimension-values-zero", "dimension-values-negative",
-            "dimension-values-nan", "dimension-values-inf"])
+            "mu-inf", "dimension-steps-negative", "dimension-values-fraction",
+            "dimension-values-zero", "dimension-values-negative", "dimension-values-nan",
+            "dimension-values-inf"])
     def test_sweep_rejects_out_of_range_values(self, pipeline, tmp_path, capsys,
                                                axis, extra, rule):
         out = tmp_path / "sweep.tsv"
@@ -301,6 +299,32 @@ class TestPipeline:
                      "--queries", str(QUERIES_PATH), "--qrels", str(QRELS_PATH),
                      "--dim", "8", "--epochs", "1", "--out", str(out), *extra]) == 2
         assert capsys.readouterr().err == f"error: {extra[0]} must be {rule}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis", ["dimension", "alpha"])
+    @pytest.mark.parametrize("values", ["", ",", " , "], ids=["empty", "comma", "spaced-comma"])
+    def test_sweep_rejects_empty_values_before_any_work(self, tmp_path, capsys, axis, values):
+        out = tmp_path / "sweep.tsv"
+        assert main(["sweep", "--axis", axis, "--values", values, "--store", "nope",
+                     "--corpus", "nope", "--queries", "nope", "--qrels", "nope",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --values must hold at least one value\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["command-line", "config-file"])
+    def test_sweep_has_no_alpha_flag(self, tmp_path, capsys, via):
+        # the alpha axis sweeps --values and the dimension axis ranks by
+        # formulae alone, so a sweep --alpha would change nothing but headers
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"alpha": 4}))
+        out = tmp_path / "sweep.tsv"
+        alpha = ["--alpha", "4"] if via == "command-line" else ["--config", str(cfg_file)]
+        assert main(["sweep", "--axis", "alpha", "--values", "0,4", "--store", "nope",
+                     "--corpus", "nope", "--queries", "nope", "--qrels", "nope",
+                     "--out", str(out), *alpha]) == 2
+        err = capsys.readouterr().err
+        assert ("unrecognized arguments: --alpha 4" in err if via == "command-line"
+                else err == "error: unknown config key 'alpha'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,config,code,message", [

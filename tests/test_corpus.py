@@ -147,6 +147,25 @@ class TestVocabulary:
         assert np.array_equal(a, b)
         assert a.max() < len(fixture_vocab)
 
+    @pytest.mark.parametrize("size,power", [(1, 0.75), (5, 0.75), (114, 0.75), (40, 0.0),
+                                            (3000, 0.75), (8, 0.0)])
+    def test_quantile_is_the_binary_search(self, size, power):
+        # the sliced lookup must give np.searchsorted's answer on every draw,
+        # at, just below and just above every step of the CDF included; with
+        # power 0 and 8 surfaces every step falls on a slice edge
+        from mathemb.corpus import Vocabulary
+
+        rng = np.random.default_rng(size)
+        vocab = Vocabulary([f"s{i}" for i in range(size)],
+                           [int(c) for c in rng.integers(1, 1000, size)], power)
+        cdf = np.cumsum(vocab.sampling_probs)
+        draws = np.concatenate((rng.random(20000), cdf[:-1], np.nextafter(cdf, 0),
+                                np.nextafter(cdf[:-1], 1), [0.0, np.nextafter(1.0, 0)]))
+        want = np.searchsorted(vocab._cumulative, draws, side="right")
+        got = vocab.quantile(draws.reshape(-1, 1))
+        assert got.shape == (len(draws), 1) and got.dtype == want.dtype
+        assert np.array_equal(got[:, 0], want)
+
     def test_fingerprint_changes_with_counts(self):
         v1 = build_vocabulary(formulas_from("a a b"))
         v2 = build_vocabulary(formulas_from("a b b"))

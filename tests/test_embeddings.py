@@ -6,10 +6,11 @@ import pytest
 from mathemb.analysis import cosine
 from mathemb.corpus import build_vocabulary
 from mathemb.cli import main
+from mathemb import embeddings
 from mathemb.embeddings import (
-    EmbeddingTable, Mode, TrainingConfig, _negatives, _sgd, cbow_step, infer_vector,
-    infer_vectors, load_table, nce_loss, pvdm_step, save_table, train_formula2vec,
-    train_symbol2vec,
+    _INFER_BLOCK, EmbeddingTable, Mode, TrainingConfig, _gradient, _negatives, _sgd, cbow_step,
+    infer_vector, infer_vectors, load_table, nce_loss, pvdm_step, save_table,
+    train_formula2vec, train_symbol2vec,
 )
 from mathemb.errors import (
     DimensionMismatch, EmptyContext, EmptyCorpus, MalformedRecord, UnknownTokensOnly,
@@ -17,7 +18,9 @@ from mathemb.errors import (
 from mathemb.tokenizer import TokenizedFormula, tokenize
 
 from conftest import make_cluster_corpus
-from oracles import central_difference, oracle_infer_vector, oracle_negatives, oracle_step
+from oracles import (
+    central_difference, oracle_infer_block, oracle_infer_vector, oracle_negatives, oracle_step,
+)
 
 
 def sigma(x):
@@ -265,13 +268,40 @@ class TestKernel:
         if not with_docs:
             assert np.array_equal(docs, docs0)
 
-    def test_frozen_updates_docs_alone(self):
-        words, outputs, docs = self.rows(5, 8, 4)
-        w0, o0, d0 = words.copy(), outputs.copy(), docs.copy()
-        _sgd(words, outputs, docs, np.array([[0, 1], [2, 3]]), np.array([0, 2]),
-             np.array([4, 5]), np.array([[6], [7]]), 0.5, 8, frozen=True)
-        assert np.array_equal(words, w0) and np.array_equal(outputs, o0)
-        assert np.array_equal(docs[1], d0[1]) and not np.array_equal(docs[0], d0[0])
+    @pytest.mark.parametrize("with_docs", [False, True], ids=["cbow", "pvdm"])
+    def test_gradient_core_matches_oracle_step(self, with_docs):
+        # each position's core output, applied as oracle_step applies its
+        # update, gives oracle_step's rows
+        rng = np.random.default_rng(23)
+        v, dim, m = 9, 6, 5
+        pad = v
+        words0, outputs0, docs0 = self.rows(6, v + 1, dim, n_docs=m)
+        words0[pad] = outputs0[pad] = 0.0
+        ctx = [[0, 3, 3], [5], [], [1, 2, 4, 8], [7, 7]]
+        if not with_docs:
+            ctx[2] = [6]
+        rows = rng.integers(0, v, (m, 4))
+        rows[2, 3] = pad                         # a dropped negative
+        lr = rng.uniform(0.1, 0.5, m)
+        n_members = np.array([len(c) + with_docs for c in ctx])
+        h = np.array([words0[c].sum(axis=0) + (docs0[p] if with_docs else 0.0)
+                      for p, c in enumerate(ctx)]) / n_members[:, None]
+        dots, step, member_step = _gradient(h, outputs0[rows], rows != pad, lr, n_members)
+        for p in range(m):
+            w, o, d = words0.copy(), outputs0.copy(), docs0.copy()
+            live = rows[p] != pad
+            oracle_step(w, o, d, p if with_docs else None, ctx[p], rows[p, 0],
+                        rows[p, 1:][live[1:]], lr[p])
+            np.testing.assert_allclose(dots[p], outputs0[rows[p]] @ h[p], rtol=0, atol=1e-12)
+            assert not step[p, ~live].any()
+            got_o = outputs0.copy()
+            np.add.at(got_o, rows[p, live], step[p, live, None] * h[p])
+            got_w = words0.copy()
+            np.add.at(got_w, ctx[p], np.broadcast_to(member_step[p], (len(ctx[p]), dim)))
+            np.testing.assert_allclose(got_o, o, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_w, w, rtol=0, atol=1e-12)
+            if with_docs:
+                np.testing.assert_allclose(docs0[p] + member_step[p], d[p], rtol=0, atol=1e-12)
 
 
 class TestNegatives:
@@ -449,6 +479,51 @@ class TestInference:
         got = infer_vectors(toks, trained_formula_table, [11, 12, 11] * 3, steps=5)
         for i, vec in enumerate(got):
             assert np.array_equal(vec, got[1 if i % 3 == 1 else 0])
+
+    @pytest.mark.parametrize("steps", [0, 1, 7])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_matches_parent_lockstep_loop_bitwise(self, trained_formula_table,
+                                                 fixture_collection, monkeypatch, n, steps):
+        # oracle_infer_block is the loop before the frozen quantities left
+        # it; the same blocks through it must give the same bits
+        formulae = list(fixture_collection.formulas.values())
+        toks = [formulae[i % len(formulae)].tokens for i in range(n)]
+        assert len({len(t) for t in toks}) > 1 or n == 1
+        seeds = [1000 + i for i in range(n)]
+        got = infer_vectors(toks, trained_formula_table, seeds, steps=steps, lr=0.05)
+        monkeypatch.setattr(embeddings, "_infer_block", oracle_infer_block)
+        want = infer_vectors(toks, trained_formula_table, seeds, steps=steps, lr=0.05)
+        assert len(got) == n
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+    def test_leaves_trained_rows_bitwise_unchanged(self, trained_formula_table,
+                                                   fixture_collection):
+        t = trained_formula_table
+        before = [a.copy() for a in (t.input_vectors, t.context_vectors, t.formula_vectors)]
+        infer_vectors([f.tokens for f in fixture_collection.formulas.values()], t,
+                      range(len(fixture_collection.formulas)), steps=3)
+        for after, was in zip((t.input_vectors, t.context_vectors, t.formula_vectors), before):
+            assert np.array_equal(after, was)
+
+    def test_memory_is_bounded_by_the_block(self, trained_formula_table, fixture_collection):
+        # inference keeps one block's working arrays at a time, so four
+        # blocks of formulae peak little above their heaviest block alone
+        import tracemalloc
+
+        formulae = list(fixture_collection.formulas.values())
+        four = [formulae[i % len(formulae)].tokens for i in range(4 * _INFER_BLOCK)]
+        longest = sorted(four, key=len, reverse=True)[:_INFER_BLOCK]
+
+        def peak(toks):
+            tracemalloc.start()
+            try:
+                infer_vectors(toks, trained_formula_table, range(len(toks)), steps=50)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(four) <= 1.25 * peak(longest)
 
     def test_all_oov_formula_in_a_batch_is_none(self, trained_formula_table):
         got = infer_vectors([tokenize("\\nosuch"), tokenize("a + b")],
