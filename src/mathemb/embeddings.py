@@ -23,8 +23,11 @@ updates one formula row twice; the learning rate falls linearly over the
 global position index.
 Randomness is drawn in bulk, once per epoch: one call for every window
 width and one for every negative, with negatives that equal their target
-redrawn together, in at most 100 rounds, and then dropped.  Training is
-deterministic for a given (corpus, config, seed).
+redrawn together, in at most 100 rounds, and then dropped.  What depends
+only on those draws (each context's members and count, each position's
+output rows and which of them are live) is built once per epoch, and the
+epoch's loss comes from the dots _sgd returns, in one call after its last
+block.  Training is deterministic for a given (corpus, config, seed).
 
 Inference of unseen formulae (infer_vectors, and infer_vector for one) runs
 the same gradient core with the trained rows frozen, updating a new formula
@@ -32,8 +35,9 @@ vector alone.  Formulae are therefore independent, and a batch of them runs
 in lockstep, one position of each per step, while every formula draws its
 initialization, widths and negatives up front from its own seeded generator.
 What depends only on those draws and the frozen rows (each draw's output
-rows, each context window and its size) is laid out once per block, so a
-step gathers its contexts and updates the formula vectors, nothing more.
+rows, each context window's size and the sum of its word rows) is laid out
+once per block, so a step gathers its window sums and updates the formula
+vectors, nothing more.
 """
 
 from __future__ import annotations
@@ -170,38 +174,50 @@ def _gradient(h, u, live, lr, n_members):
     return dots, step, np.einsum("mk,mkd->md", step, u) / n_members[:, None]
 
 
-def _sgd(words, outputs, docs, ctx, doc_rows, targets, negatives, lr, pad) -> np.ndarray:
-    """One simultaneous SGD update over m positions; returns each position's
-    pre-update loss.
-
-    ctx (m, c) indexes words, pad marking an empty slot (words[pad], when
-    gathered, must be a zero row); h is the mean of the non-pad context rows,
-    joined by docs[doc_rows] when docs is not None.  targets (m,) and
-    negatives (m, k) index outputs; a negative equal to pad is dropped.  lr
-    is one rate or one per position.  Every gradient is taken at the rows as
-    they are on entry and the m updates are summed into them, so a row used
-    twice in the block gets both.
-    """
+def _tables(ctx, targets, negatives, pad):
+    """What SGD over m positions needs of their draws alone, before any row
+    is read: each context's token count, the context tokens flat (row-major,
+    position p's from offsets[p] to offsets[p + 1]), and each position's
+    output rows, target first, with their live mask (False for a dropped
+    negative).  Training builds them once per epoch and slices them per
+    block."""
     in_ctx = ctx != pad
     n_ctx = np.count_nonzero(in_ctx, axis=1)
+    rows = np.concatenate((targets[:, None], negatives), axis=1)
+    return n_ctx, ctx[in_ctx], np.concatenate(([0], np.cumsum(n_ctx))), rows, rows != pad
+
+
+def _sgd(words, outputs, docs, doc_rows, ctx, n_ctx, members, rows, live, lr) -> np.ndarray:
+    """One simultaneous SGD update over m positions; returns the pre-update
+    dots (m, k+1) of each position's output rows, from which _loss gives
+    its loss.
+
+    ctx (m, c) indexes words, words[pad] being a zero row that fills the
+    empty slots; n_ctx, members, rows and live are the _tables of these m
+    positions.  h is the mean of the context rows, joined by docs[doc_rows]
+    when docs is not None; rows index outputs.  lr is one rate or one per
+    position.  Every gradient is taken at the rows as they are on entry and
+    the m updates are summed into them, so a row used twice in the block
+    gets both.
+    """
     n_members = n_ctx if docs is None else n_ctx + 1
     h = words[ctx].sum(axis=1)
     if docs is not None:
         h += docs[doc_rows]
     h /= n_members[:, None]
-
-    rows = np.concatenate((targets[:, None], negatives), axis=1)
-    live = rows != pad
     dots, step, member_step = _gradient(h, outputs[rows], live, lr, n_members)
-    sign = np.ones(rows.shape[1])
-    sign[1:] = -1.0                         # a negative's loss is -log sigma(-u.h)
-    loss = -(_log_sigmoid(sign * dots) * live).sum(axis=1)
-
     if docs is not None:
         np.add.at(docs, doc_rows, member_step)
     np.add.at(outputs, rows, step[:, :, None] * h[:, None, :])
-    np.add.at(words, ctx[in_ctx], np.repeat(member_step, n_ctx, axis=0))
-    return loss
+    np.add.at(words, members, np.repeat(member_step, n_ctx, axis=0))
+    return dots
+
+
+def _loss(dots, live) -> np.ndarray:
+    """Each position's negative-sampling loss from its _sgd dots."""
+    sign = np.ones(dots.shape[1])
+    sign[1:] = -1.0                         # a negative's loss is -log sigma(-u.h)
+    return -(_log_sigmoid(sign * dots) * live).sum(axis=1)
 
 
 def _one_step(table: EmbeddingTable, doc_row, context_indices, target_index,
@@ -210,9 +226,12 @@ def _one_step(table: EmbeddingTable, doc_row, context_indices, target_index,
     if (negatives == target_index).any():
         raise ValueError("target index must not appear among the negatives")
     docs = None if doc_row is None else table.formula_vectors
-    return float(_sgd(table.input_vectors, table.context_vectors, docs,
-                      np.asarray(context_indices, dtype=np.intp).reshape(1, -1), [doc_row],
-                      np.array([target_index]), negatives, lr, len(table.vocab))[0])
+    ctx = np.asarray(context_indices, dtype=np.intp).reshape(1, -1)
+    n_ctx, members, _, rows, live = _tables(ctx, np.array([target_index]), negatives,
+                                            len(table.vocab))
+    dots = _sgd(table.input_vectors, table.context_vectors, docs, [doc_row], ctx, n_ctx,
+                members, rows, live, lr)
+    return float(_loss(dots, live)[0])
 
 
 def cbow_step(table: EmbeddingTable, context_indices, target_index,
@@ -328,10 +347,14 @@ def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
         widths = rng.integers(1, window + 1, n)
         negatives = _negatives(vocab, rng, targets, config.negatives, pad)
         ctx = _windows(flat, centers, widths, window, pad)
-        losses = [_sgd(words, outputs, docs, ctx[b], doc_rows[b], targets[b], negatives[b],
-                       lr[b], pad)
-                  for b in (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))]
-        table.epoch_losses.append(float(np.concatenate(losses).mean()))
+        n_ctx, members, offsets, rows, live = _tables(ctx, targets, negatives, pad)
+        dots = np.empty(rows.shape)
+        for i in range(0, n, _BLOCK):
+            b = slice(i, i + _BLOCK)
+            dots[b] = _sgd(words, outputs, docs, doc_rows[b], ctx[b], n_ctx[b],
+                           members[offsets[i]:offsets[min(i + _BLOCK, n)]], rows[b], live[b],
+                           lr[b])
+        table.epoch_losses.append(float(_loss(dots, live).mean()))
     return table
 
 
@@ -349,10 +372,21 @@ def train_formula2vec(formulas, vocab: Vocabulary, config: TrainingConfig) -> Em
     return _train(formulas, vocab, config, with_docs=True)
 
 
-# Formulae inferred together per block.  Inference keeps per-block working
-# arrays, among them every draw of the block's formulae, so the block size
-# bounds memory however many formulae one call infers.
-_INFER_BLOCK = 64
+# Formulae inferred together per block.  A block runs in lockstep, one
+# step per position of its longest formula per pass, so fewer blocks mean
+# fewer steps; its tables set the size.  Per formula of 9 tokens at dim 50,
+# window 5, 5 negatives and 50 steps they hold
+#   window sums (9 positions x 5 widths x 50 floats)   18,000 bytes
+#   window member counts (45)                               360
+#   each draw's window (450 draws, int32)                 1,800
+#   each draw's output rows (450 x 6, int32)             10,800
+#   the formula vector                                      400
+# 31,360 bytes in all, so 256 formulae keep 7.7 MiB, within a budget of
+# 8 MiB.  The window table the sums come from (3,600 bytes a formula) lives
+# only while they are built, and a step's temporaries add about 5,000 bytes
+# a formula (tracemalloc peak of one such block: 9.3 MB).  However many
+# formulae one call infers, memory stays that of one block.
+_INFER_BLOCK = 256
 
 
 def infer_vectors(token_lists, table: EmbeddingTable, seeds, steps: int = 50,
@@ -363,12 +397,13 @@ def infer_vectors(token_lists, table: EmbeddingTable, seeds, steps: int = 50,
     update only its own new vector; word and context rows stay frozen.  Its
     own np.random.default_rng(seeds[i]) draws, up front, its initialization,
     then every window width, then every negative, so a formula's vector does
-    not depend on the others inferred with it (up to the rounding of the
-    batched dot products).  The formulae run in blocks of _INFER_BLOCK, in
-    lockstep, one position of each per step, each step one _gradient call
-    over the block's running formulae (see _infer_block).  A formula
-    whose tokens are all out of vocabulary gets None; steps=0 returns the
-    seeded initializations.
+    not depend on the others inferred with it: it is the same, bit for bit,
+    inferred alone or in any batch.  The formulae run in blocks of
+    _INFER_BLOCK, in lockstep, one position of each per step, each step one
+    _gradient call over the block's running formulae (see _infer_block), so
+    a block takes steps times its longest formula's length in steps.  A
+    formula whose tokens are all out of vocabulary gets None; steps=0
+    returns the seeded initializations.
     """
     if table.config.mode is not Mode.FORMULA2VEC or table.formula_vectors is None:
         raise ValueError("inference needs a table trained in formula2vec mode")
@@ -393,22 +428,36 @@ def infer_vectors(token_lists, table: EmbeddingTable, seeds, steps: int = 50,
     return out
 
 
-def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs,
-                 steps: int, lr: float) -> np.ndarray:
-    """Lockstep inference of non-empty sequences sorted by length, longest
-    first.  The context windows and every draw's rows are laid out before the
-    step loop, which updates the formula vectors alone."""
-    config = table.config
-    dim, window, pad = config.dim, config.window, len(table.vocab)
-    lens = np.array([len(seq) for seq in seqs])
+def _window_sums(words, seqs, window: int, pad: int):
+    """Every (position, width) context window of the sequences, in
+    _lay_out's order: row p * window + b - 1 is the width-b window around
+    the p-th position, sequence by sequence.  Returns each window's token
+    count and the sum of its word rows, the same sum words[ctx].sum(axis=1)
+    gives; the gather runs one sequence at a time, so its (rows, 2 * window,
+    dim) temporary stays one sequence's size, and the window table is freed
+    on return."""
     flat, _ = _lay_out(seqs, window, pad)
-    # row p * window + b - 1 is the width-b window around the block's p-th
-    # position (formula by formula); members is its token count plus one, the
-    # formula row
     centers = np.flatnonzero(flat != pad)
     contexts = _windows(flat, np.repeat(centers, window),
                         np.tile(np.arange(1, window + 1), len(centers)), window, pad)
-    members = np.count_nonzero(contexts != pad, axis=1) + 1
+    sums = np.empty((len(contexts), words.shape[1]))
+    ends = window * np.cumsum([0] + [len(seq) for seq in seqs])
+    for start, stop in zip(ends[:-1], ends[1:]):
+        sums[start:stop] = words[contexts[start:stop]].sum(axis=1)
+    return np.count_nonzero(contexts != pad, axis=1), sums
+
+
+def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs,
+                 steps: int, lr: float) -> np.ndarray:
+    """Lockstep inference of non-empty sequences sorted by length, longest
+    first.  Every context window's sum of word rows and every draw's rows
+    are laid out before the step loop, which updates the formula vectors
+    alone."""
+    config = table.config
+    dim, window, pad = config.dim, config.window, len(table.vocab)
+    lens = np.array([len(seq) for seq in seqs])
+    members, sums = _window_sums(words, seqs, window, pad)
+    members += 1                            # the formula row joins every window
     firsts = np.concatenate(([0], np.cumsum(lens)[:-1]))
 
     n_steps = steps * lens
@@ -434,7 +483,7 @@ def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs,
         active = stop - start
         ctx, out = ctx_rows[start:stop], out_rows[start:stop]
         n_members = members[ctx]
-        h = words[contexts[ctx]].sum(axis=1)
+        h = sums[ctx]
         h += vecs[:active]
         h /= n_members[:, None]
         _, _, member_step = _gradient(h, outputs[out], out != pad,

@@ -307,6 +307,71 @@ def oracle_infer_block(seqs, seeds, table, words, outputs, steps, lr):
     return vecs
 
 
+def oracle_train(formulas, vocab, config, with_docs):
+    """Training as it stood before the draw-only tables left the block loop:
+    every block of _BLOCK positions rebuilds its context counts, output rows
+    and live mask, applies the SGD update and computes its own loss, and an
+    epoch's loss is the mean of the blocks' concatenated losses.  Returns
+    (input rows, context rows, formula rows or None, epoch losses), which
+    _train must reproduce bit for bit."""
+    from mathemb.embeddings import _BLOCK, _encode, _lay_out, _log_sigmoid, _negatives, _windows
+
+    seqs = [_encode(f.tokens, vocab) for f in formulas]
+    rng = np.random.default_rng(config.seed)
+    dim, window, pad = config.dim, config.window, len(vocab)
+    bound = 0.5 / dim
+    words = np.zeros((pad + 1, dim))
+    words[:pad] = rng.uniform(-bound, bound, (pad, dim))
+    outputs = np.zeros((pad + 1, dim))
+    docs = rng.uniform(-bound, bound, (len(seqs), dim)) if with_docs else None
+
+    def block(ctx, doc_rows, targets, negatives, lr):
+        in_ctx = ctx != pad
+        n_ctx = np.count_nonzero(in_ctx, axis=1)
+        n_members = n_ctx if docs is None else n_ctx + 1
+        h = words[ctx].sum(axis=1)
+        if docs is not None:
+            h += docs[doc_rows]
+        h /= n_members[:, None]
+        rows = np.concatenate((targets[:, None], negatives), axis=1)
+        live = rows != pad
+        u = outputs[rows]
+        dots = np.einsum("mkd,md->mk", u, h)
+        g = np.exp(-np.logaddexp(0.0, -dots))
+        g[:, 0] -= 1.0
+        g *= live * -np.reshape(lr, (-1, 1))
+        member_step = np.einsum("mk,mkd->md", g, u) / n_members[:, None]
+        sign = np.ones(rows.shape[1])
+        sign[1:] = -1.0
+        loss = -(_log_sigmoid(sign * dots) * live).sum(axis=1)
+        if docs is not None:
+            np.add.at(docs, doc_rows, member_step)
+        np.add.at(outputs, rows, g[:, :, None] * h[:, None, :])
+        np.add.at(words, ctx[in_ctx], np.repeat(member_step, n_ctx, axis=0))
+        return loss
+
+    trainable = [row for row, seq in enumerate(seqs) if len(seq) >= 2]
+    lens = [len(seqs[row]) for row in trainable]
+    flat, starts = _lay_out([seqs[row] for row in trainable], window, pad)
+    offsets = np.concatenate([np.arange(size) for size in lens])
+    order = np.argsort(offsets, kind="stable")
+    centers = (np.repeat(starts, lens) + offsets)[order]
+    doc_rows = np.repeat(trainable, lens)[order]
+    targets = flat[centers]
+    n = len(centers)
+    lr_span, denom = config.lr_start - config.lr_end, max(1, config.epochs * n - 1)
+    epoch_losses = []
+    for epoch in range(config.epochs):
+        lr = config.lr_start - lr_span * ((epoch * n + np.arange(n)) / denom)
+        widths = rng.integers(1, window + 1, n)
+        negatives = _negatives(vocab, rng, targets, config.negatives, pad)
+        ctx = _windows(flat, centers, widths, window, pad)
+        losses = [block(ctx[b], doc_rows[b], targets[b], negatives[b], lr[b])
+                  for b in (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))]
+        epoch_losses.append(float(np.concatenate(losses).mean()))
+    return words[:pad], outputs[:pad], docs, epoch_losses
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 

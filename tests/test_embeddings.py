@@ -8,9 +8,9 @@ from mathemb.corpus import build_vocabulary
 from mathemb.cli import main
 from mathemb import embeddings
 from mathemb.embeddings import (
-    _INFER_BLOCK, EmbeddingTable, Mode, TrainingConfig, _gradient, _negatives, _sgd, cbow_step,
-    infer_vector, infer_vectors, load_table, nce_loss, pvdm_step, save_table,
-    train_formula2vec, train_symbol2vec,
+    _BLOCK, _INFER_BLOCK, EmbeddingTable, Mode, TrainingConfig, _gradient, _loss, _negatives,
+    _sgd, _tables, cbow_step, infer_vector, infer_vectors, load_table, nce_loss, pvdm_step,
+    save_table, train_formula2vec, train_symbol2vec,
 )
 from mathemb.errors import (
     DimensionMismatch, EmptyContext, EmptyCorpus, MalformedRecord, UnknownTokensOnly,
@@ -20,6 +20,7 @@ from mathemb.tokenizer import TokenizedFormula, tokenize
 from conftest import make_cluster_corpus
 from oracles import (
     central_difference, oracle_infer_block, oracle_infer_vector, oracle_negatives, oracle_step,
+    oracle_train,
 )
 
 
@@ -259,8 +260,10 @@ class TestKernel:
                 total += after - before
 
         words, outputs, docs = words0.copy(), outputs0.copy(), docs0.copy()
-        loss = _sgd(words, outputs, docs if with_docs else None, ctx, doc_rows, targets,
-                    negatives, lr, pad)
+        n_ctx, members, _, rows, live = _tables(ctx, targets, negatives, pad)
+        dots = _sgd(words, outputs, docs if with_docs else None, doc_rows, ctx, n_ctx, members,
+                    rows, live, lr)
+        loss = _loss(dots, live)
         np.testing.assert_allclose(loss, want_loss, rtol=0, atol=1e-12)
         for after, before, delta in zip((words, outputs, docs), (words0, outputs0, docs0), deltas):
             np.testing.assert_allclose(after, before + delta, rtol=0, atol=1e-12)
@@ -351,6 +354,35 @@ class TestTraining:
         assert np.array_equal(t1.input_vectors, t2.input_vectors)
         assert np.array_equal(t1.context_vectors, t2.context_vectors)
         assert t1.epoch_losses == t2.epoch_losses
+
+    @pytest.mark.parametrize("mode", [Mode.SYMBOL2VEC, Mode.FORMULA2VEC], ids=["s2v", "f2v"])
+    @pytest.mark.parametrize("corpus,seed", [
+        ("fixture", 1), ("fixture", 2), ("fixture", 3), ("ragged", 4), ("one-surface", 5),
+    ])
+    def test_matches_parent_block_loop_bitwise(self, fixture_train_corpus, corpus, seed, mode):
+        # oracle_train rebuilds every block's tables and loss inside the
+        # block loop; the epoch's tables and one loss call give the same bits
+        formulas = {
+            "fixture": fixture_train_corpus,
+            # 39 positions: the last block is short
+            "ragged": small_corpus(4) + [TokenizedFormula("r", tokenize("x + y"))],
+            # one surface, so every negative equals its target and is dropped
+            "one-surface": [TokenizedFormula(f"f{i}", tokenize("x x x x")) for i in range(3)],
+        }[corpus]
+        if corpus == "ragged":
+            assert sum(len(f.tokens) for f in formulas) % _BLOCK
+        vocab = build_vocabulary(formulas)
+        cfg = TrainingConfig(dim=16, window=4, negatives=4, epochs=3, lr_start=0.1,
+                             lr_end=0.001, seed=seed, mode=mode)
+        trainer = train_symbol2vec if mode is Mode.SYMBOL2VEC else train_formula2vec
+        got = trainer(formulas, vocab, cfg)
+        words, outputs, docs, losses = oracle_train(formulas, vocab, cfg,
+                                                    mode is Mode.FORMULA2VEC)
+        assert np.array_equal(got.input_vectors, words)
+        assert np.array_equal(got.context_vectors, outputs)
+        assert (got.formula_vectors is None and docs is None
+                or np.array_equal(got.formula_vectors, docs))
+        assert got.epoch_losses == losses
 
     def test_seed_changes_result(self):
         t1, _ = trained_pair(seed=11)
@@ -467,11 +499,11 @@ class TestInference:
         for _ in range(3):
             # shuffled, a random subset, and every formula repeated past one block
             pick = list(rng.permutation(len(formulae)))[:int(rng.integers(2, len(formulae)))]
-            pick = pick * (1 + 70 // len(pick))
+            pick = pick * (1 + (_INFER_BLOCK + 6) // len(pick))
             got = infer_vectors([formulae[i].tokens for i in pick], trained_formula_table,
                                 [seeds[i] for i in pick], steps=4)
             for i, vec in zip(pick, got):
-                np.testing.assert_allclose(vec, alone[i], rtol=0, atol=1e-12)
+                assert np.array_equal(vec, alone[i])
 
     def test_duplicates_in_a_batch_are_bit_identical(self, trained_formula_table):
         toks = [tokenize("\\sin x + \\cos y = 1"), tokenize("a + b = c"),
@@ -481,11 +513,13 @@ class TestInference:
             assert np.array_equal(vec, got[1 if i % 3 == 1 else 0])
 
     @pytest.mark.parametrize("steps", [0, 1, 7])
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, _INFER_BLOCK - 1, _INFER_BLOCK,
+                                   _INFER_BLOCK + 1, 2 * _INFER_BLOCK + 2])
     def test_matches_parent_lockstep_loop_bitwise(self, trained_formula_table,
                                                  fixture_collection, monkeypatch, n, steps):
         # oracle_infer_block is the loop before the frozen quantities left
-        # it; the same blocks through it must give the same bits
+        # it; the same blocks through it must give the same bits.  Sizes
+        # from 1 to 130 fill part of one block, the rest sit at its edges.
         formulae = list(fixture_collection.formulas.values())
         toks = [formulae[i % len(formulae)].tokens for i in range(n)]
         assert len({len(t) for t in toks}) > 1 or n == 1
@@ -496,6 +530,42 @@ class TestInference:
         assert len(got) == n
         for a, b in zip(got, want):
             assert (a is None and b is None) or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dim", [1, 2, 50])
+    def test_window_sums_add_as_the_parent_step_did(self, dim):
+        # each (position, width) window's sum is the one the parent's step
+        # took with words[ctx].sum(axis=1), ten slots in _windows' order, pad
+        # slots included; at dim 1 numpy adds those ten slots pairwise
+        rng = np.random.default_rng(dim)
+        pad, window = 30, 5
+        words = np.vstack((rng.normal(size=(pad, dim)), np.zeros((1, dim))))
+        seqs = [rng.integers(0, pad, size) for size in (1, 4, 9, 13)]
+        n_ctx, sums = embeddings._window_sums(words, seqs, window, pad)
+        offsets = [*range(-window, 0), *range(1, window + 1)]
+        row = 0
+        for seq in seqs:
+            for p in range(len(seq)):
+                for width in range(1, window + 1):
+                    slots = [seq[p + o] if abs(o) <= width and 0 <= p + o < len(seq) else pad
+                             for o in offsets]
+                    assert n_ctx[row] == sum(slot != pad for slot in slots)
+                    assert np.array_equal(sums[row], words[np.array([slots])].sum(axis=1)[0])
+                    row += 1
+        assert row == len(sums)
+
+    def test_one_block_runs_steps_times_its_longest_formula(self, trained_formula_table,
+                                                           fixture_collection, monkeypatch):
+        # _INFER_BLOCK formulae of mixed length run in one lockstep block:
+        # one _gradient call per step of the longest
+        formulae = list(fixture_collection.formulas.values())
+        toks = [formulae[i % len(formulae)].tokens for i in range(_INFER_BLOCK)]
+        lens = {len(embeddings._encode(t, trained_formula_table.vocab)) for t in toks}
+        assert len(lens) > 1
+        calls = []
+        gradient = embeddings._gradient
+        monkeypatch.setattr(embeddings, "_gradient", lambda *a: calls.append(1) or gradient(*a))
+        infer_vectors(toks, trained_formula_table, range(_INFER_BLOCK), steps=3)
+        assert len(calls) == 3 * max(lens)
 
     def test_leaves_trained_rows_bitwise_unchanged(self, trained_formula_table,
                                                    fixture_collection):
