@@ -16,7 +16,11 @@ every gradient in the block is taken from the rows as they were before it,
 and the updates are summed into them (minibatch Hogwild; cbow_step and
 pvdm_step are the kernel on a block of one).  Its gradient core, _gradient,
 takes the dots, the sigmoid step of every output row and the step of every
-member of the mean; _sgd forms the context means and scatters the updates.
+member of the mean; _sgd forms the context means and adds the updates.  The
+output and word rows take theirs as one product each over the block's own
+distinct rows (a positions x distinct-rows coefficient matrix from one
+np.bincount, times the context means or the member steps), so a block's
+cost does not grow with the vocabulary; the formula rows take np.add.at.
 Training walks each epoch's positions position-major (the first position of
 every formula, then the second, ...) in blocks of _BLOCK, so a block rarely
 updates one formula row twice; the learning rate falls linearly over the
@@ -25,9 +29,12 @@ Randomness is drawn in bulk, once per epoch: one call for every window
 width and one for every negative, with negatives that equal their target
 redrawn together, in at most 100 rounds, and then dropped.  What depends
 only on those draws (each context's members and count, each position's
-output rows and which of them are live) is built once per epoch, and the
-epoch's loss comes from the dots _sgd returns, in one call after its last
-block.  Training is deterministic for a given (corpus, config, seed).
+output rows and which of them are live, each block's distinct rows and
+where every entry falls in its coefficient matrix) is built once per epoch,
+with one sort over all blocks, and the epoch's loss comes from the dots
+_sgd returns, in one call after its last block.  Training is deterministic
+for a given (corpus, config, seed) on one BLAS build, which fixes the
+products' summation order.
 
 Inference of unseen formulae (infer_vectors, and infer_vector for one) runs
 the same gradient core with the trained rows frozen, updating a new formula
@@ -45,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,42 +182,111 @@ def _gradient(h, u, live, lr, n_members):
     return dots, step, np.einsum("mk,mkd->md", step, u) / n_members[:, None]
 
 
-def _tables(ctx, targets, negatives, pad):
-    """What SGD over m positions needs of their draws alone, before any row
-    is read: each context's token count, the context tokens flat (row-major,
-    position p's from offsets[p] to offsets[p + 1]), and each position's
-    output rows, target first, with their live mask (False for a dropped
-    negative).  Training builds them once per epoch and slices them per
-    block."""
+class _Rows(NamedTuple):
+    """The rows that a run of blocks of positions adds to, entry by entry.
+    ids holds each entry's row: one entry per context member (flat), or one
+    per output row of each position, (m, k+1).  distinct holds every
+    block's distinct rows, block after block, and at each entry's index in
+    its block's (positions x distinct rows) coefficient matrix, row-major,
+    so that one np.bincount builds that matrix.  Block j's entries are
+    ids[edges[j]:edges[j + 1]] and its distinct rows
+    distinct[firsts[j]:firsts[j + 1]]."""
+
+    ids: np.ndarray
+    distinct: np.ndarray
+    at: np.ndarray
+    edges: list[int]
+    firsts: list[int]
+
+    def block(self, j) -> "_Rows":
+        """Block j as a run of one block."""
+        start, stop = self.edges[j], self.edges[j + 1]
+        first, last = self.firsts[j], self.firsts[j + 1]
+        return _Rows(self.ids[start:stop], self.distinct[first:last], self.at[start:stop],
+                     [0, stop - start], [0, last - first])
+
+
+def _block_rows(ids, counts, block: int, edges, size: int) -> _Rows:
+    """_Rows of the entries ids (rows below size), counts[p] of them for
+    the p-th position, in blocks of `block` positions whose entries start
+    at edges.  One sort of every (block, row) key finds each block's
+    distinct rows, so no block sorts its own, and a block's coefficient
+    matrix has a column per row it uses, never one per row of the table.
+    (np.unique would do the same with about twice the temporary memory.)"""
+    m = len(counts)
+    block_of = np.arange(m) // block
+    keys = np.repeat(block_of * size, counts)
+    keys += ids.ravel()
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    distinct = keys[new]
+    firsts = np.searchsorted(distinct, np.arange(len(edges)) * size)
+    at = np.empty(len(keys), dtype=np.int32)
+    at[order] = np.cumsum(new, dtype=np.int32) - 1
+    at += np.repeat(np.arange(m) % block * np.diff(firsts)[block_of] - firsts[block_of], counts)
+    return _Rows(ids, distinct % size, at.reshape(ids.shape), edges.tolist(), firsts.tolist())
+
+
+def _tables(ctx, targets, negatives, pad, block: int | None = None):
+    """What SGD over m positions, in blocks of `block` (one block of all m
+    by default), needs of their draws alone, before any row is read: each
+    context's token count; the context members as _Rows of the word table;
+    where each block starts (bounds, m at the end); each position's output
+    rows, target first, as _Rows of the output table; and their live mask
+    (False for a dropped negative).  Training builds them once per epoch
+    and takes one block of them at a time."""
+    m = len(ctx)
     in_ctx = ctx != pad
     n_ctx = np.count_nonzero(in_ctx, axis=1)
     rows = np.concatenate((targets[:, None], negatives), axis=1)
-    return n_ctx, ctx[in_ctx], np.concatenate(([0], np.cumsum(n_ctx))), rows, rows != pad
+    block = block or m
+    bounds = np.append(np.arange(0, m, block), m)
+    offsets = np.concatenate(([0], np.cumsum(n_ctx)))
+    return (n_ctx,
+            _block_rows(ctx[in_ctx], n_ctx, block, offsets[bounds], pad + 1),
+            bounds,
+            _block_rows(rows, np.full(m, rows.shape[1]), block, bounds, pad + 1),
+            rows != pad)
+
+
+def _add(table, rows: _Rows, values, weights=None) -> None:
+    """table[rows.ids[e]] += weights[e] * values[p] for every entry e of one
+    block, p being e's position (weight 1 where weights is None), as one
+    product over the block's distinct rows: the transposed (positions x
+    distinct rows) coefficient matrix times values."""
+    coef = np.bincount(rows.at.ravel(), None if weights is None else weights.ravel(),
+                       len(values) * len(rows.distinct)).astype(float, copy=False)
+    table[rows.distinct] += coef.reshape(len(values), -1).T @ values
 
 
 def _sgd(words, outputs, docs, doc_rows, ctx, n_ctx, members, rows, live, lr) -> np.ndarray:
-    """One simultaneous SGD update over m positions; returns the pre-update
-    dots (m, k+1) of each position's output rows, from which _loss gives
-    its loss.
+    """One simultaneous SGD update over m positions, one block; returns the
+    pre-update dots (m, k+1) of each position's output rows, from which
+    _loss gives its loss.
 
     ctx (m, c) indexes words, words[pad] being a zero row that fills the
-    empty slots; n_ctx, members, rows and live are the _tables of these m
-    positions.  h is the mean of the context rows, joined by docs[doc_rows]
-    when docs is not None; rows index outputs.  lr is one rate or one per
-    position.  Every gradient is taken at the rows as they are on entry and
-    the m updates are summed into them, so a row used twice in the block
-    gets both.
+    empty slots; n_ctx, members, rows and live are the _tables of this
+    block.  h is the mean of the context rows, joined by docs[doc_rows]
+    when docs is not None; rows.ids index outputs.  lr is one rate or one
+    per position.  Every gradient is taken at the rows as they are on entry
+    and the m updates are summed into them, so a row used twice in the
+    block gets both: _add sums each output and member row's updates in one
+    product, and the block's few formula rows take theirs with np.add.at,
+    which a product does not beat at that size.
     """
     n_members = n_ctx if docs is None else n_ctx + 1
     h = words[ctx].sum(axis=1)
     if docs is not None:
         h += docs[doc_rows]
     h /= n_members[:, None]
-    dots, step, member_step = _gradient(h, outputs[rows], live, lr, n_members)
+    dots, step, member_step = _gradient(h, outputs[rows.ids], live, lr, n_members)
     if docs is not None:
         np.add.at(docs, doc_rows, member_step)
-    np.add.at(outputs, rows, step[:, :, None] * h[:, None, :])
-    np.add.at(words, members, np.repeat(member_step, n_ctx, axis=0))
+    _add(outputs, rows, h, step)
+    _add(words, members, member_step)
     return dots
 
 
@@ -296,8 +373,10 @@ def _negatives(vocab: Vocabulary, rng: np.random.Generator, targets, k: int,
 
 
 # Positions updated together per training block.  A block's updates are all
-# taken from the rows as they were before it (see _sgd), so the block size
-# is part of the model a seed gives.
+# taken from the rows as they were before it (see _sgd), and are summed in
+# one product per table over its distinct rows, so the block size fixes both
+# the updates and their summation order: it is part of the model a seed
+# gives.
 _BLOCK = 16
 
 
@@ -347,15 +426,23 @@ def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
         widths = rng.integers(1, window + 1, n)
         negatives = _negatives(vocab, rng, targets, config.negatives, pad)
         ctx = _windows(flat, centers, widths, window, pad)
-        n_ctx, members, offsets, rows, live = _tables(ctx, targets, negatives, pad)
-        dots = np.empty(rows.shape)
-        for i in range(0, n, _BLOCK):
-            b = slice(i, i + _BLOCK)
-            dots[b] = _sgd(words, outputs, docs, doc_rows[b], ctx[b], n_ctx[b],
-                           members[offsets[i]:offsets[min(i + _BLOCK, n)]], rows[b], live[b],
-                           lr[b])
-        table.epoch_losses.append(float(_loss(dots, live).mean()))
+        table.epoch_losses.append(_epoch(words, outputs, docs, doc_rows, ctx, targets, negatives,
+                                         lr, pad))
     return table
+
+
+def _epoch(words, outputs, docs, doc_rows, ctx, targets, negatives, lr, pad) -> float:
+    """One epoch of _sgd over its positions, in blocks of _BLOCK, from the
+    epoch's draws; returns the epoch's mean loss.  The epoch's _tables live
+    only while it runs, so they are gone before the next epoch builds its
+    own."""
+    n_ctx, members, bounds, rows, live = _tables(ctx, targets, negatives, pad, _BLOCK)
+    dots = np.empty(live.shape)
+    for j, (i, end) in enumerate(zip(bounds[:-1], bounds[1:])):
+        b = slice(i, end)
+        dots[b] = _sgd(words, outputs, docs, doc_rows[b], ctx[b], n_ctx[b], members.block(j),
+                       rows.block(j), live[b], lr[b])
+    return float(_loss(dots, live).mean())
 
 
 def train_symbol2vec(formulas, vocab: Vocabulary, config: TrainingConfig) -> EmbeddingTable:
@@ -376,15 +463,16 @@ def train_formula2vec(formulas, vocab: Vocabulary, config: TrainingConfig) -> Em
 # step per position of its longest formula per pass, so fewer blocks mean
 # fewer steps; its tables set the size.  Per formula of 9 tokens at dim 50,
 # window 5, 5 negatives and 50 steps they hold
-#   window sums (9 positions x 5 widths x 50 floats)   18,000 bytes
-#   window member counts (45)                               360
+#   window sums (44 distinct windows x 50 floats)       17,600 bytes
+#   window member counts (44)                               352
+#   each (position, width)'s window (9 x 5)                 360
 #   each draw's window (450 draws, int32)                 1,800
 #   each draw's output rows (450 x 6, int32)             10,800
 #   the formula vector                                      400
-# 31,360 bytes in all, so 256 formulae keep 7.7 MiB, within a budget of
-# 8 MiB.  The window table the sums come from (3,600 bytes a formula) lives
+# 31,312 bytes in all, so 256 formulae keep 7.6 MiB, within a budget of
+# 8 MiB.  The window table the sums come from (3,520 bytes a formula) lives
 # only while they are built, and a step's temporaries add about 5,000 bytes
-# a formula (tracemalloc peak of one such block: 9.3 MB).  However many
+# a formula (tracemalloc peak of one such block: 9.4 MB).  However many
 # formulae one call infers, memory stays that of one block.
 _INFER_BLOCK = 256
 
@@ -429,22 +517,31 @@ def infer_vectors(token_lists, table: EmbeddingTable, seeds, steps: int = 50,
 
 
 def _window_sums(words, seqs, window: int, pad: int):
-    """Every (position, width) context window of the sequences, in
-    _lay_out's order: row p * window + b - 1 is the width-b window around
-    the p-th position, sequence by sequence.  Returns each window's token
-    count and the sum of its word rows, the same sum words[ctx].sum(axis=1)
-    gives; the gather runs one sequence at a time, so its (rows, 2 * window,
-    dim) temporary stays one sequence's size, and the window table is freed
-    on return."""
+    """Every distinct context window of the sequences.  A window of width
+    b >= 2 that reaches past both ends of its sequence holds the same
+    tokens as width b - 1, so it gets no row of its own.  Returns row_of,
+    where row_of[p, b - 1] is the row of the width-b window around the p-th
+    position (positions in _lay_out's order, sequence by sequence), and each
+    row's token count and sum of word rows, the same sum
+    words[ctx].sum(axis=1) gives.  The gather runs one sequence at a time,
+    so its (rows, 2 * window, dim) temporary stays one sequence's size, and
+    the window table is freed on return."""
+    lens = np.array([len(seq) for seq in seqs])
     flat, _ = _lay_out(seqs, window, pad)
     centers = np.flatnonzero(flat != pad)
-    contexts = _windows(flat, np.repeat(centers, window),
-                        np.tile(np.arange(1, window + 1), len(centers)), window, pad)
+    # a position's widths up to its farthest token in the sequence are distinct
+    at = np.arange(len(centers)) - np.repeat(np.cumsum(lens) - lens, lens)
+    kept = np.clip(np.maximum(at, np.repeat(lens, lens) - 1 - at), 1, window)
+    starts = np.cumsum(kept) - kept
+    row_of = starts[:, None] + np.minimum(np.arange(window), kept[:, None] - 1)
+    contexts = _windows(flat, np.repeat(centers, kept),
+                        np.arange(starts[-1] + kept[-1]) - np.repeat(starts, kept) + 1,
+                        window, pad)
     sums = np.empty((len(contexts), words.shape[1]))
-    ends = window * np.cumsum([0] + [len(seq) for seq in seqs])
+    ends = np.append(starts[np.cumsum(lens) - lens], len(contexts))
     for start, stop in zip(ends[:-1], ends[1:]):
         sums[start:stop] = words[contexts[start:stop]].sum(axis=1)
-    return np.count_nonzero(contexts != pad, axis=1), sums
+    return row_of, np.count_nonzero(contexts != pad, axis=1), sums
 
 
 def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs,
@@ -456,7 +553,7 @@ def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs,
     config = table.config
     dim, window, pad = config.dim, config.window, len(table.vocab)
     lens = np.array([len(seq) for seq in seqs])
-    members, sums = _window_sums(words, seqs, window, pad)
+    row_of, members, sums = _window_sums(words, seqs, window, pad)
     members += 1                            # the formula row joins every window
     firsts = np.concatenate(([0], np.cumsum(lens)[:-1]))
 
@@ -473,7 +570,7 @@ def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs,
         mine = bounds[:n_steps[i]] + i
         vecs[i] = rng.uniform(-0.5 / dim, 0.5 / dim, dim)
         positions = np.tile(np.arange(firsts[i], firsts[i] + lens[i]), steps)
-        ctx_rows[mine] = positions * window + rng.integers(1, window + 1, n_steps[i]) - 1
+        ctx_rows[mine] = row_of[positions, rng.integers(1, window + 1, n_steps[i]) - 1]
         out_rows[mine, 0] = targets = np.tile(seq, steps)
         out_rows[mine, 1:] = _negatives(table.vocab, rng, targets, config.negatives, pad)
 

@@ -307,13 +307,31 @@ def oracle_infer_block(seqs, seeds, table, words, outputs, steps, lr):
     return vecs
 
 
-def oracle_train(formulas, vocab, config, with_docs):
+def oracle_block_product(table, positions, ids, weights, values):
+    """table[ids[e]] += weights[e] * values[positions[e]] for every entry e
+    of one block, summed as one product: np.unique finds the block's own
+    distinct rows, np.bincount the (positions x distinct rows) coefficient
+    matrix, in entry order."""
+    ids = np.ravel(ids)
+    distinct, local = np.unique(ids, return_inverse=True)
+    weights = np.ones(len(ids)) if weights is None else np.ravel(weights)
+    coef = np.bincount(np.ravel(positions) * len(distinct) + local, weights,
+                       len(values) * len(distinct))
+    table[distinct] += coef.reshape(len(values), -1).T @ values
+
+
+def oracle_train(formulas, vocab, config, with_docs, dense=False):
     """Training as it stood before the draw-only tables left the block loop:
     every block of _BLOCK positions rebuilds its context counts, output rows
     and live mask, applies the SGD update and computes its own loss, and an
     epoch's loss is the mean of the blocks' concatenated losses.  Returns
-    (input rows, context rows, formula rows or None, epoch losses), which
-    _train must reproduce bit for bit."""
+    (input rows, context rows, formula rows or None, epoch losses).
+
+    The block's output and context-member updates are added row by row with
+    np.add.at, the reference that _train must match within rounding; with
+    dense=True each block sums them with oracle_block_product, finding its
+    distinct rows itself, which _train must reproduce bit for bit.  The
+    formula rows take np.add.at either way."""
     from mathemb.embeddings import _BLOCK, _encode, _lay_out, _log_sigmoid, _negatives, _windows
 
     seqs = [_encode(f.tokens, vocab) for f in formulas]
@@ -346,8 +364,14 @@ def oracle_train(formulas, vocab, config, with_docs):
         loss = -(_log_sigmoid(sign * dots) * live).sum(axis=1)
         if docs is not None:
             np.add.at(docs, doc_rows, member_step)
-        np.add.at(outputs, rows, g[:, :, None] * h[:, None, :])
-        np.add.at(words, ctx[in_ctx], np.repeat(member_step, n_ctx, axis=0))
+        if dense:
+            oracle_block_product(outputs, np.repeat(np.arange(len(rows)), rows.shape[1]), rows,
+                                 g, h)
+            oracle_block_product(words, np.repeat(np.arange(len(ctx)), n_ctx), ctx[in_ctx],
+                                 None, member_step)
+        else:
+            np.add.at(outputs, rows, g[:, :, None] * h[:, None, :])
+            np.add.at(words, ctx[in_ctx], np.repeat(member_step, n_ctx, axis=0))
         return loss
 
     trainable = [row for row, seq in enumerate(seqs) if len(seq) >= 2]

@@ -15,7 +15,7 @@ from mathemb.embeddings import (
 from mathemb.errors import (
     DimensionMismatch, EmptyContext, EmptyCorpus, MalformedRecord, UnknownTokensOnly,
 )
-from mathemb.tokenizer import TokenizedFormula, tokenize
+from mathemb.tokenizer import SymbolToken, TokenClass, TokenizedFormula, tokenize
 
 from conftest import make_cluster_corpus
 from oracles import (
@@ -355,34 +355,107 @@ class TestTraining:
         assert np.array_equal(t1.context_vectors, t2.context_vectors)
         assert t1.epoch_losses == t2.epoch_losses
 
-    @pytest.mark.parametrize("mode", [Mode.SYMBOL2VEC, Mode.FORMULA2VEC], ids=["s2v", "f2v"])
-    @pytest.mark.parametrize("corpus,seed", [
+    ORACLE_CASES = pytest.mark.parametrize("corpus,seed", [
         ("fixture", 1), ("fixture", 2), ("fixture", 3), ("ragged", 4), ("one-surface", 5),
+        ("wide", 6),
     ])
-    def test_matches_parent_block_loop_bitwise(self, fixture_train_corpus, corpus, seed, mode):
-        # oracle_train rebuilds every block's tables and loss inside the
-        # block loop; the epoch's tables and one loss call give the same bits
+    MODES = pytest.mark.parametrize("mode", [Mode.SYMBOL2VEC, Mode.FORMULA2VEC],
+                                    ids=["s2v", "f2v"])
+
+    @staticmethod
+    def wide_corpus(size):
+        # `size` one-token formulae, which only fill the vocabulary, then 40
+        # trainable formulae of 10 tokens drawn from all of them: the same
+        # 400 positions at any vocabulary size
+        tok = [SymbolToken(f"s{i}", TokenClass.VARIABLE) for i in range(size)]
+        rng = np.random.default_rng(size)
+        return ([TokenizedFormula(f"v{i}", [t]) for i, t in enumerate(tok)]
+                + [TokenizedFormula(f"f{i}", [tok[j] for j in rng.integers(0, size, 10)])
+                   for i in range(40)])
+
+    def against_oracle(self, fixture_train_corpus, corpus, seed, mode, dense):
         formulas = {
-            "fixture": fixture_train_corpus,
+            "fixture": lambda: fixture_train_corpus,
             # 39 positions: the last block is short
-            "ragged": small_corpus(4) + [TokenizedFormula("r", tokenize("x + y"))],
+            "ragged": lambda: small_corpus(4) + [TokenizedFormula("r", tokenize("x + y"))],
             # one surface, so every negative equals its target and is dropped
-            "one-surface": [TokenizedFormula(f"f{i}", tokenize("x x x x")) for i in range(3)],
-        }[corpus]
+            "one-surface": lambda: [TokenizedFormula(f"f{i}", tokenize("x x x x"))
+                                    for i in range(3)],
+            # 20,000 surfaces, far more than any block uses
+            "wide": lambda: self.wide_corpus(20_000),
+        }[corpus]()
         if corpus == "ragged":
             assert sum(len(f.tokens) for f in formulas) % _BLOCK
         vocab = build_vocabulary(formulas)
         cfg = TrainingConfig(dim=16, window=4, negatives=4, epochs=3, lr_start=0.1,
                              lr_end=0.001, seed=seed, mode=mode)
         trainer = train_symbol2vec if mode is Mode.SYMBOL2VEC else train_formula2vec
-        got = trainer(formulas, vocab, cfg)
-        words, outputs, docs, losses = oracle_train(formulas, vocab, cfg,
-                                                    mode is Mode.FORMULA2VEC)
+        return trainer(formulas, vocab, cfg), oracle_train(formulas, vocab, cfg,
+                                                           mode is Mode.FORMULA2VEC, dense)
+
+    @MODES
+    @ORACLE_CASES
+    def test_matches_parent_block_loop_bitwise(self, fixture_train_corpus, corpus, seed, mode):
+        # oracle_train rebuilds every block's tables, distinct rows and loss
+        # inside the block loop; the epoch's tables, sliced per block, and
+        # one loss call give the same bits
+        got, (words, outputs, docs, losses) = self.against_oracle(
+            fixture_train_corpus, corpus, seed, mode, dense=True)
         assert np.array_equal(got.input_vectors, words)
         assert np.array_equal(got.context_vectors, outputs)
         assert (got.formula_vectors is None and docs is None
                 or np.array_equal(got.formula_vectors, docs))
         assert got.epoch_losses == losses
+
+    @MODES
+    @ORACLE_CASES
+    def test_matches_add_at_block_loop_within_rounding(self, fixture_train_corpus, corpus, seed,
+                                                        mode):
+        # np.add.at adds a block's updates row by row; the block products sum
+        # the same terms in another order, so rows agree to rounding
+        got, (words, outputs, docs, losses) = self.against_oracle(
+            fixture_train_corpus, corpus, seed, mode, dense=False)
+        np.testing.assert_allclose(got.input_vectors, words, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.context_vectors, outputs, rtol=0, atol=1e-12)
+        if docs is None:
+            assert got.formula_vectors is None
+        else:
+            np.testing.assert_allclose(got.formula_vectors, docs, rtol=0, atol=1e-12)
+        assert got.epoch_losses == pytest.approx(losses, rel=1e-12, abs=0)
+
+    def test_block_memory_does_not_grow_with_the_vocabulary(self):
+        # a block's coefficient matrices have a column per row the block
+        # uses, never one per vocabulary row: one block's tracemalloc peak at
+        # 20,000 surfaces stays near its peak at 200, far below the one
+        # (_BLOCK x V) float64 matrix a vocabulary-wide product would need
+        import tracemalloc
+
+        dim, window, k = 50, 5, 5
+
+        def peak(size):
+            corpus = self.wide_corpus(size)
+            vocab = build_vocabulary(corpus)
+            seqs = [embeddings._encode(f.tokens, vocab) for f in corpus[-40:]]
+            flat, starts = embeddings._lay_out(seqs, window, size)
+            centers = (starts[:, None] + np.arange(10)).T.ravel()
+            rng = np.random.default_rng(0)
+            ctx = embeddings._windows(flat, centers, rng.integers(1, window + 1, 400), window,
+                                      size)
+            n_ctx, members, bounds, rows, live = _tables(
+                ctx, flat[centers], rng.integers(0, size, (400, k)), size, _BLOCK)
+            words, outputs = rng.normal(size=(2, size + 1, dim))
+            docs = rng.normal(size=(40, dim))
+            b = slice(bounds[3], bounds[4])
+            tracemalloc.start()
+            try:
+                _sgd(words, outputs, docs, np.arange(_BLOCK), ctx[b], n_ctx[b],
+                     members.block(3), rows.block(3), live[b], 0.1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200), peak(20_000)
+        assert abs(large - small) < 0.05 * _BLOCK * 20_000 * 8
 
     def test_seed_changes_result(self):
         t1, _ = trained_pair(seed=11)
@@ -540,18 +613,25 @@ class TestInference:
         pad, window = 30, 5
         words = np.vstack((rng.normal(size=(pad, dim)), np.zeros((1, dim))))
         seqs = [rng.integers(0, pad, size) for size in (1, 4, 9, 13)]
-        n_ctx, sums = embeddings._window_sums(words, seqs, window, pad)
+        # a width reaching past both ends of the sequence shares the narrower
+        # width's row, and every row serves some (position, width)
+        row_of, n_ctx, sums = embeddings._window_sums(words, seqs, window, pad)
         offsets = [*range(-window, 0), *range(1, window + 1)]
-        row = 0
+        q = 0
         for seq in seqs:
             for p in range(len(seq)):
+                windows = {}
                 for width in range(1, window + 1):
                     slots = [seq[p + o] if abs(o) <= width and 0 <= p + o < len(seq) else pad
                              for o in offsets]
+                    row = row_of[q, width - 1]
                     assert n_ctx[row] == sum(slot != pad for slot in slots)
                     assert np.array_equal(sums[row], words[np.array([slots])].sum(axis=1)[0])
-                    row += 1
-        assert row == len(sums)
+                    windows.setdefault(tuple(slots), set()).add(row)
+                assert all(len(rows) == 1 for rows in windows.values())
+                assert len(set(row_of[q])) == len(windows)
+                q += 1
+        assert q == len(row_of) and set(row_of.ravel()) == set(range(len(sums)))
 
     def test_one_block_runs_steps_times_its_longest_formula(self, trained_formula_table,
                                                            fixture_collection, monkeypatch):
