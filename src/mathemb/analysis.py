@@ -90,7 +90,7 @@ def nearest_neighbors(table: EmbeddingTable, surface: str, k: int) -> NeighborLi
     if k < 1:
         raise ValueError("k must be >= 1")
     if surface not in table.vocab.index:
-        raise UnknownSurface(surface)
+        raise UnknownSurface(f"symbol {surface} is not in the model's vocabulary")
     q = table.vector(surface)
     if not np.any(q):
         raise ZeroVector(f"vector of {surface!r} is zero")

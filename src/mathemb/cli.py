@@ -11,7 +11,10 @@ Every artifact's header comment records tool version, seed, and the non-path
 configuration, so reruns with the same inputs and seed are byte-identical.
 
 Exit codes: 0 success, 1 data error (one-line diagnostic on stderr),
-2 usage error.
+2 usage error.  A flag value out of its range (--top, --steps, --threshold,
+--mu, --alpha, --tag, --ks, --values, --min-count, and the training flags
+--dim, --window, --negatives, --epochs, --lr-start, --lr-end) is a usage
+error, raised before any file is read.
 """
 
 from __future__ import annotations
@@ -28,9 +31,41 @@ from .errors import MalformedRecord, MathembError
 # do not depend on where they were produced
 _PATH_DESTS = {"collection", "out", "store", "corpus", "model", "index",
                "queries", "qrels", "run", "stopwords", "config"}
-_NON_CONFIG = {"command", "dump_config", "help"}
+_NON_CONFIG = {"command", "dump_config", "help", "handler", "check"}
 
 REFERENCE_SETTINGS = "reference settings: formula dim=300, alpha=4, mu=2000"
+
+
+def _split(raw: str, kind=float) -> list:
+    """The non-blank entries of a comma-separated flag value, as kind."""
+    return [kind(v) for v in raw.split(",") if v.strip()]
+
+
+# each range rule: its text in the error message, and the test of a value
+_RULES = {
+    "be >= 0": lambda v: v >= 0,
+    "be >= 1": lambda v: v >= 1,
+    "be finite and > 0": lambda v: 0 < v < math.inf,
+    "be finite and >= 0": lambda v: 0 <= v < math.inf,
+    "be integers >= 1": lambda v: v.is_integer() and v >= 1,
+    "be one or more integers >= 1": lambda raw: min(_split(raw, int), default=0) >= 1,
+    "hold at least one value": lambda raw: bool(_split(raw)),
+    "be non-empty and hold no whitespace": lambda v: v.split() == [v],
+}
+
+
+class _Checked(argparse.Action):
+    """Stores a flag's value if it passes the rule named by must=, else raises
+    ValueError; a value from a config file is checked as a typed one is."""
+
+    def __init__(self, *args, must: str, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.must = must
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if not _RULES[self.must](value):
+            raise ValueError(f"{option_string} must {self.must}")
+        setattr(namespace, self.dest, value)
 
 
 def _add_training_flags(p, default_dim):
@@ -46,7 +81,7 @@ def _add_training_flags(p, default_dim):
     p.add_argument("--lr-end", type=float, default=0.0001,
                    help="final learning rate (default 0.0001)")
     p.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
-    p.add_argument("--min-count", type=int, default=1,
+    p.add_argument("--min-count", type=int, default=1, action=_Checked, must="be >= 1",
                    help="drop surfaces rarer than this (default 1)")
     p.add_argument("--sample-power", type=float, default=0.75,
                    help="negative-sampling distribution exponent (default 0.75)")
@@ -59,46 +94,46 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"mathemb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
-    def add(name, help_text):
+    def add(name, help_text, handler, check=None):
+        """The subcommand's parser; check(args) runs its cross-flag rules after parsing."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None,
                        help="JSON config file; flags given explicitly win")
         p.add_argument("--dump-config", action="store_true",
                        help="print the resolved configuration and exit")
-        commands[name] = p
+        p.set_defaults(handler=handler, check=check)
         return p
 
-    p = add("tokenize", "read LaTeX lines on stdin, write space-joined tokens")
+    add("tokenize", "read LaTeX lines on stdin, write space-joined tokens", _cmd_tokenize)
 
-    p = add("ingest", "build a collection store from a JSON-lines collection file")
+    p = add("ingest", "build a collection store from a JSON-lines collection file", _cmd_ingest)
     p.add_argument("--collection", required=True, help="input JSON-lines collection")
     p.add_argument("--out", required=True, help="output collection store")
     p.add_argument("--stopwords", default=None, help="optional stopword file")
 
-    p = add("filter", "keep training-eligible formulae from a collection store")
+    p = add("filter", "keep training-eligible formulae from a collection store", _cmd_filter)
     p.add_argument("--store", required=True, help="collection store")
     p.add_argument("--out", required=True, help="output training corpus")
 
-    p = add("train-symbol2vec", "train symbol vectors (CBOW, negative sampling)")
+    p = add("train-symbol2vec", "train symbol vectors (CBOW, negative sampling)", _cmd_train)
     p.add_argument("--corpus", required=True, help="training corpus file")
     p.add_argument("--out", required=True, help="model file prefix")
     _add_training_flags(p, default_dim=100)
 
-    p = add("train-formula2vec", "train formula vectors (PV-DM)")
+    p = add("train-formula2vec", "train formula vectors (PV-DM)", _cmd_train)
     p.add_argument("--corpus", required=True, help="training corpus file")
     p.add_argument("--out", required=True, help="model file prefix")
     _add_training_flags(p, default_dim=300)
 
-    p = add("neighbors", "nearest symbols by cosine, as TSV")
+    p = add("neighbors", "nearest symbols by cosine, as TSV", _cmd_neighbors)
     p.add_argument("--model", required=True, help="model file prefix")
     p.add_argument("--symbol", action="append", default=None,
                    help="query surface; repeatable; default: all")
     p.add_argument("--k", type=int, default=8, help="neighbors per symbol (default 8)")
     p.add_argument("--out", default=None, help="output TSV (default stdout)")
 
-    p = add("pca", "2-D principal-component coordinates of symbol vectors, as TSV")
+    p = add("pca", "2-D principal-component coordinates of symbol vectors, as TSV", _cmd_pca)
     p.add_argument("--model", required=True, help="model file prefix")
     p.add_argument("--components", type=int, default=2,
                    help="principal components kept (default 2)")
@@ -106,57 +141,63 @@ def build_parser():
                    help="length-normalize vectors before projecting")
     p.add_argument("--out", default=None, help="output TSV (default stdout)")
 
-    p = add("index-text", "build the text index for the language model")
+    p = add("index-text", "build the text index for the language model", _cmd_index_text)
     p.add_argument("--store", required=True, help="collection store")
     p.add_argument("--out", required=True, help="output index file")
-    p.add_argument("--mu", type=float, default=2000.0,
+    p.add_argument("--mu", type=float, default=2000.0, action=_Checked, must="be finite and > 0",
                    help="Dirichlet smoothing mass (default 2000)")
 
-    p = add("search", "rank pages for every query, TREC run output")
+    p = add("search", "rank pages for every query, TREC run output", _cmd_search)
     p.add_argument("--store", required=True, help="collection store")
     p.add_argument("--queries", required=True, help="JSON-lines query file")
     p.add_argument("--method", required=True, choices=["formula2vec", "lm", "combined"],
                    help="ranking signal: formula vectors, text, or both")
     p.add_argument("--model", default=None, help="model prefix (formula2vec/combined)")
     p.add_argument("--index", default=None, help="text index file (lm/combined)")
-    p.add_argument("--alpha", type=float, default=4.0,
+    p.add_argument("--alpha", type=float, default=4.0, action=_Checked, must="be finite and >= 0",
                    help="text weight in the combined score (default 4)")
-    p.add_argument("--mu", type=float, default=None,
+    p.add_argument("--mu", type=float, default=None, action=_Checked, must="be finite and > 0",
                    help="Dirichlet smoothing mass (default: the one index-text stored)")
-    p.add_argument("--top", type=int, default=1000, help="pages kept per query (default 1000)")
-    p.add_argument("--steps", type=int, default=50,
+    p.add_argument("--top", type=int, default=1000, action=_Checked, must="be >= 1",
+                   help="pages kept per query (default 1000)")
+    p.add_argument("--steps", type=int, default=50, action=_Checked, must="be >= 0",
                    help="inference passes for unseen formulae (default 50)")
-    p.add_argument("--tag", default="mathemb", help="run tag (default mathemb)")
+    p.add_argument("--tag", default="mathemb", action=_Checked,
+                   must="be non-empty and hold no whitespace", help="run tag (default mathemb)")
     p.add_argument("--out", required=True, help="output run file")
 
-    p = add("evaluate", "score a run file against qrels")
+    p = add("evaluate", "score a run file against qrels", _cmd_evaluate)
     p.add_argument("--run", required=True, help="TREC run file")
     p.add_argument("--qrels", required=True, help="TREC qrels file")
-    p.add_argument("--ks", default="30,50", help="cutoffs for NDCG@k/P@k (default 30,50)")
-    p.add_argument("--threshold", type=int, default=1,
+    p.add_argument("--ks", default="30,50", action=_Checked, must="be one or more integers >= 1",
+                   help="cutoffs for NDCG@k/P@k (default 30,50)")
+    p.add_argument("--threshold", type=int, default=1, action=_Checked, must="be >= 1",
                    help="relevance binarization grade (default 1)")
     p.add_argument("--out", default=None, help="output TSV (default stdout)")
 
-    p = add("sweep", "train/rank/evaluate across dimensions or alpha values")
+    p = add("sweep", "train/rank/evaluate across dimensions or alpha values", _cmd_sweep,
+            check=_check_sweep_values)
     p.add_argument("--axis", required=True, choices=["dimension", "alpha"],
                    help="swept parameter: formula vector dimension or the combined "
                         "method's alpha")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True, action=_Checked, must="hold at least one value",
+                   help="comma-separated values")
     p.add_argument("--store", required=True, help="collection store")
     p.add_argument("--corpus", required=True, help="training corpus file")
     p.add_argument("--queries", required=True, help="JSON-lines query file")
     p.add_argument("--qrels", required=True, help="TREC qrels file")
-    p.add_argument("--mu", type=float, default=2000.0,
+    p.add_argument("--mu", type=float, default=2000.0, action=_Checked, must="be finite and > 0",
                    help="Dirichlet smoothing mass on the alpha axis (default 2000)")
-    p.add_argument("--steps", type=int, default=50,
+    p.add_argument("--steps", type=int, default=50, action=_Checked, must="be >= 0",
                    help="inference passes for unseen formulae (default 50)")
-    p.add_argument("--ks", default="30,50", help="cutoffs for NDCG@k/P@k (default 30,50)")
-    p.add_argument("--threshold", type=int, default=1,
+    p.add_argument("--ks", default="30,50", action=_Checked, must="be one or more integers >= 1",
+                   help="cutoffs for NDCG@k/P@k (default 30,50)")
+    p.add_argument("--threshold", type=int, default=1, action=_Checked, must="be >= 1",
                    help="relevance binarization grade (default 1)")
     p.add_argument("--out", default=None, help="output TSV (default stdout)")
     _add_training_flags(p, default_dim=300)
 
-    return parser, commands
+    return parser, sub.choices
 
 
 def _argv_with_config(argv, args, subparser) -> list[str]:
@@ -190,14 +231,12 @@ def _resolved_config(args) -> dict:
 
 
 def _meta(args, seed=None) -> dict:
-    """Artifact meta comment fields, keys sorted."""
+    """Artifact meta comment fields, keys sorted; seed defaults to --seed."""
     cfg = {k: v for k, v in _resolved_config(args).items() if k not in _PATH_DESTS}
-    meta = {"tool": "mathemb", "version": __version__}
+    seed = cfg.get("seed") if seed is None else seed
+    meta = {"config": artifacts.to_json(cfg), "tool": "mathemb", "version": __version__}
     if seed is not None:
         meta["seed"] = seed
-    elif "seed" in cfg:
-        meta["seed"] = cfg["seed"]
-    meta["config"] = artifacts.to_json(cfg)
     return dict(sorted(meta.items()))
 
 
@@ -208,15 +247,20 @@ def _write_or_print(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _parse_values(raw: str) -> list[float]:
-    return [float(v) for v in raw.split(",") if v.strip()]
+def _check_sweep_values(args) -> None:
+    """The rule for sweep --values, which depends on --axis."""
+    must = "be integers >= 1" if args.axis == "dimension" else "be finite and >= 0"
+    if not all(map(_RULES[must], _split(args.values))):
+        raise ValueError(f"--values must {must}")
 
 
-def _parse_ks(raw: str):
-    ks = tuple(int(x) for x in raw.split(",") if x.strip())
-    if not ks or any(k < 1 for k in ks):
-        raise ValueError(f"bad cutoff list {raw!r}")
-    return ks
+def _training_config(args, mode):
+    """The training flags as a TrainingConfig; ValueError names a bad one."""
+    from .embeddings import TrainingConfig
+
+    return TrainingConfig(dim=args.dim, window=args.window, negatives=args.negatives,
+                          epochs=args.epochs, lr_start=args.lr_start, lr_end=args.lr_end,
+                          seed=args.seed, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +298,12 @@ def _cmd_filter(args) -> int:
 def _cmd_train(args) -> int:
     """train-symbol2vec and train-formula2vec: the command names the mode."""
     from .corpus import build_vocabulary, load_training_corpus
-    from .embeddings import Mode, TrainingConfig, save_table, train_formula2vec, train_symbol2vec
+    from .embeddings import Mode, save_table, train_formula2vec, train_symbol2vec
 
     mode = Mode(args.command.removeprefix("train-"))
+    config = _training_config(args, mode)
     corpus = load_training_corpus(args.corpus)
     vocab = build_vocabulary(corpus, min_count=args.min_count, power=args.sample_power)
-    config = TrainingConfig(
-        dim=args.dim, window=args.window, negatives=args.negatives,
-        epochs=args.epochs, lr_start=args.lr_start, lr_end=args.lr_end,
-        seed=args.seed, mode=mode,
-    )
     trainer = train_symbol2vec if mode is Mode.SYMBOL2VEC else train_formula2vec
     table = trainer(corpus, vocab, config)
     save_table(table, args.out)
@@ -321,14 +361,15 @@ def _cmd_search(args) -> int:
     )
 
     method = RankMethod(args.method)
+    text, formula = method is not RankMethod.FORMULA2VEC, method is not RankMethod.LM
+    if text and not args.index:
+        raise ValueError(f"--index is required for method {method.value}")
+    if formula and not args.model:
+        raise ValueError(f"--model is required for method {method.value}")
     coll = load_collection(args.store)
     queries = ingest_queries(args.queries)
-    provider = None
-    formulas = None
-    index = None
-    if method in (RankMethod.LM, RankMethod.COMBINED):
-        if not args.index:
-            raise ValueError(f"--index is required for method {method.value}")
+    provider = formulas = index = None
+    if text:
         index = TextIndex.load(args.index)
         pages, indexed = {p.page_id for p in coll.pages}, set(index.page_ids)
         if pages != indexed:
@@ -338,9 +379,7 @@ def _cmd_search(args) -> int:
                 f"{len(indexed - pages)} only in the index")
         if args.mu is None:
             args.mu = index.mu
-    if method in (RankMethod.FORMULA2VEC, RankMethod.COMBINED):
-        if not args.model:
-            raise ValueError(f"--model is required for method {method.value}")
+    if formula:
         provider = FormulaVectorProvider(load_table(args.model), infer_steps=args.steps)
         formulas = FormulaMatrix.build(coll.pages, coll, provider, queries)
     ranked = [rank_pages(q, coll, method, provider=provider, index=index,
@@ -357,7 +396,7 @@ def _cmd_search(args) -> int:
 def _cmd_evaluate(args) -> int:
     from .evaluation import evaluate_run, report_tsv
 
-    report = evaluate_run(args.run, args.qrels, ks=_parse_ks(args.ks),
+    report = evaluate_run(args.run, args.qrels, ks=_split(args.ks, int),
                           threshold=args.threshold)
     for qid in report.queries_skipped:
         print(f"warning: query {qid} missing from qrels, skipped", file=sys.stderr)
@@ -369,19 +408,14 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .corpus import ingest_queries, load_collection, load_training_corpus
-    from .embeddings import Mode, TrainingConfig
+    from .embeddings import Mode
     from .evaluation import SweepAxis, parse_qrels, sweep, sweep_tsv
 
     axis = SweepAxis(args.axis)
-    values = _parse_values(args.values)
-    ks = _parse_ks(args.ks)
-    config = TrainingConfig(
-        dim=args.dim, window=args.window, negatives=args.negatives,
-        epochs=args.epochs, lr_start=args.lr_start, lr_end=args.lr_end,
-        seed=args.seed, mode=Mode.FORMULA2VEC,
-    )
+    config = _training_config(args, Mode.FORMULA2VEC)
+    ks = _split(args.ks, int)
     results = sweep(
-        axis, values,
+        axis, _split(args.values),
         collection=load_collection(args.store),
         queries=ingest_queries(args.queries),
         train_corpus=load_training_corpus(args.corpus),
@@ -394,21 +428,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "tokenize": _cmd_tokenize,
-    "ingest": _cmd_ingest,
-    "filter": _cmd_filter,
-    "train-symbol2vec": _cmd_train,
-    "train-formula2vec": _cmd_train,
-    "neighbors": _cmd_neighbors,
-    "pca": _cmd_pca,
-    "index-text": _cmd_index_text,
-    "search": _cmd_search,
-    "evaluate": _cmd_evaluate,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
@@ -416,27 +435,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             args = parser.parse_args(_argv_with_config(argv, args, commands[args.command]))
-        for flag, least in (("top", 1), ("steps", 0), ("threshold", 1)):
-            if getattr(args, flag, least) < least:
-                raise ValueError(f"--{flag} must be >= {least}")
-        mu = getattr(args, "mu", None)
-        if mu is not None and not 0 < mu < math.inf:
-            raise ValueError("--mu must be finite and > 0")
-        axis = getattr(args, "axis", None)
-        values = _parse_values(args.values) if axis else []
-        if axis and not values:
-            raise ValueError("--values must hold at least one value")
-        alphas = [("alpha", getattr(args, "alpha", 0.0))]
-        if axis == "alpha":
-            alphas += [("values", v) for v in values]
-        for flag, value in alphas:
-            if not 0 <= value < math.inf:
-                raise ValueError(f"--{flag} must be finite and >= 0")
-        if axis == "dimension" and not all(v.is_integer() and v >= 1 for v in values):
-            raise ValueError("--values must be integers >= 1")
-        tag = getattr(args, "tag", "mathemb")
-        if tag.split() != [tag]:
-            raise ValueError("--tag must be non-empty and hold no whitespace")
+        if args.check:
+            args.check(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:
@@ -446,13 +446,10 @@ def main(argv=None) -> int:
         print(json.dumps(_resolved_config(args), sort_keys=True))
         return 0
     try:
-        return _HANDLERS[args.command](args)
-    except (MathembError, OSError) as exc:
+        return args.handler(args)
+    except (MathembError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 def entrypoint():

@@ -98,7 +98,7 @@ def _tokenized(latexes, id_prefix: str) -> list[TokenizedFormula]:
             tokens = tokenize(latex)
         except MathembError as exc:
             raise MalformedRecord(f"formula {k}: {exc}") from None
-        out.append(TokenizedFormula(f"{id_prefix}#f{k}", tokens))
+        out.append(TokenizedFormula(f"{id_prefix}{k}", tokens))
     return out
 
 
@@ -123,7 +123,7 @@ def ingest_pages(path, stopwords: frozenset[str] = frozenset()) -> Collection:
         text = rec.get("text", "")
         if not isinstance(text, str):
             raise MalformedRecord("text must be a string")
-        formulae = _tokenized(_string_list(rec, "formulas"), page_id)
+        formulae = _tokenized(_string_list(rec, "formulas"), f"{page_id}#f")
         coll.formulas.update((f.id, f) for f in formulae)
         return Page(page_id, title, normalize_text(text, stopwords), [f.id for f in formulae])
 
@@ -142,7 +142,8 @@ def ingest_queries(path, stopwords: frozenset[str] = frozenset()) -> list[Query]
         seen.add(query_id)
         keywords = [term for kw in _string_list(rec, "keywords")
                     for term in normalize_text(kw, stopwords)]
-        formulae = _tokenized(_string_list(rec, "formulas"), query_id)
+        # "#q", not a page formula's "#f": trained rows are looked up by id
+        formulae = _tokenized(_string_list(rec, "formulas"), f"{query_id}#q")
         if not keywords and not formulae:
             raise MalformedRecord("query has neither keywords nor formulas")
         return Query(query_id, keywords, formulae)
@@ -167,22 +168,25 @@ _SLICES = 4096
 
 @dataclass
 class Vocabulary:
-    """Dense surface index plus the negative-sampling distribution."""
+    """Dense surface index plus the negative-sampling distribution; ValueError
+    when counts ** power has no finite positive sum to normalise by."""
 
     surfaces: list[str]
     counts: list[int]
     power: float
     index: dict[str, int] = field(init=False)
-    total_tokens: int = field(init=False)
     sampling_probs: np.ndarray = field(init=False)
     _cumulative: np.ndarray = field(init=False, repr=False)
     _slices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.index = {s: i for i, s in enumerate(self.surfaces)}
-        self.total_tokens = int(sum(self.counts))
-        weights = np.asarray(self.counts, dtype=np.float64) ** self.power
-        self.sampling_probs = weights / weights.sum()
+        with np.errstate(over="ignore"):
+            weights = np.asarray(self.counts, dtype=np.float64) ** self.power
+        total = weights.sum()
+        if not 0 < total < np.inf:
+            raise ValueError(f"sample power {self.power!r} gives no finite sampling distribution")
+        self.sampling_probs = weights / total
         self._cumulative = np.cumsum(self.sampling_probs)
         self._cumulative[-1] = 1.0
         # the inverse CDF of every slice [b, b + 1) / _SLICES that holds no

@@ -65,7 +65,6 @@ from .errors import (
     MalformedRecord,
     UnknownTokensOnly,
 )
-from .tokenizer import SymbolToken
 
 DOCVEC_HEADER = "MATHEMB-DOCVEC v1"
 MODEL_HEADER = "MATHEMB-MODEL v1"
@@ -130,16 +129,17 @@ class EmbeddingTable:
     context_vectors: np.ndarray
     formula_vectors: np.ndarray | None = None
     formula_ids: list[str] | None = None
-    vocab_fingerprint: str = ""
     epoch_losses: list[float] = field(default_factory=list)
     skipped_short: int = 0
 
     def __post_init__(self):
-        if not self.vocab_fingerprint:
-            self.vocab_fingerprint = self.vocab.fingerprint()
         self._formula_row = (
             {fid: i for i, fid in enumerate(self.formula_ids)} if self.formula_ids else {}
         )
+
+    @property
+    def vocab_fingerprint(self) -> str:
+        return self.vocab.fingerprint()
 
     def vector(self, surface: str) -> np.ndarray:
         return self.input_vectors[self.vocab.index[surface]]
@@ -329,9 +329,9 @@ def pvdm_step(table: EmbeddingTable, formula_row: int, context_indices,
 
 
 def _encode(tokens, vocab: Vocabulary) -> np.ndarray:
-    """Vocabulary indices of the in-vocabulary tokens (SymbolTokens or surfaces)."""
-    surfaces = (t.surface if isinstance(t, SymbolToken) else str(t) for t in tokens)
-    return np.asarray([vocab.index[s] for s in surfaces if s in vocab.index], dtype=np.intp)
+    """Vocabulary indices of the in-vocabulary tokens."""
+    index = vocab.index
+    return np.asarray([index[t.surface] for t in tokens if t.surface in index], dtype=np.intp)
 
 
 def _lay_out(seqs, window: int, pad: int):
@@ -607,7 +607,7 @@ def infer_vector(tokens, table: EmbeddingTable, steps: int = 50,
 # persistence (word2vec-style text interchange)
 
 
-def _model_meta(payload) -> tuple[TrainingConfig, Vocabulary, str, bool]:
+def _model_meta(payload) -> tuple[TrainingConfig, Vocabulary, bool]:
     config = TrainingConfig.from_json_dict(payload["config"])
     vocab = Vocabulary(
         [s for s, _ in payload["vocab_counts"]],
@@ -616,10 +616,10 @@ def _model_meta(payload) -> tuple[TrainingConfig, Vocabulary, str, bool]:
     )
     if vocab.fingerprint() != payload["vocab_fingerprint"]:
         raise MalformedRecord("vocabulary fingerprint mismatch")
-    return config, vocab, payload["vocab_fingerprint"], bool(payload.get("has_formula_vectors"))
+    return config, vocab, bool(payload.get("has_formula_vectors"))
 
 
-def save_table(table: EmbeddingTable, prefix, meta: dict | None = None) -> None:
+def save_table(table: EmbeddingTable, prefix) -> None:
     """Write <prefix>.wv.txt / .ctx.txt / .dv.txt / .meta.txt."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -641,8 +641,6 @@ def save_table(table: EmbeddingTable, prefix, meta: dict | None = None) -> None:
         "vocab_fingerprint": table.vocab_fingerprint,
         "has_formula_vectors": table.formula_vectors is not None,
     }
-    if meta:
-        payload["extra"] = {str(k): str(v) for k, v in sorted(meta.items())}
     artifacts.write(f"{prefix}.meta.txt", [artifacts.to_json(payload)], MODEL_HEADER)
 
 
@@ -651,7 +649,7 @@ def load_table(prefix) -> EmbeddingTable:
     records = artifacts.read_records(f"{prefix}.meta.txt", _model_meta, MODEL_HEADER)
     if not records:
         raise MalformedRecord(f"{prefix}.meta.txt: no model record")
-    config, vocab, fingerprint, has_formula_vectors = records[0]
+    config, vocab, has_formula_vectors = records[0]
 
     wv_labels, input_vectors = artifacts.read_vectors(f"{prefix}.wv.txt")
     if wv_labels != vocab.surfaces:
@@ -671,5 +669,4 @@ def load_table(prefix) -> EmbeddingTable:
         config=config, vocab=vocab,
         input_vectors=input_vectors, context_vectors=context_vectors,
         formula_vectors=formula_vectors, formula_ids=formula_ids,
-        vocab_fingerprint=fingerprint,
     )

@@ -131,9 +131,10 @@ class MetricReport:
     queries_skipped: list[str] = field(default_factory=list)
     queries_missing: list[str] = field(default_factory=list)
 
-    def metric_names(self) -> list[str]:
-        names = [f"NDCG@{k}" for k in self.ks] + [f"P@{k}" for k in self.ks]
-        return names + ["MAP", "MRR"]
+
+def _metric_names(ks) -> list[str]:
+    """The report columns for cutoffs ks, in order."""
+    return [f"NDCG@{k}" for k in ks] + [f"P@{k}" for k in ks] + ["MAP", "MRR"]
 
 
 def evaluate_core(run: dict[str, list[tuple[str, float]]],
@@ -162,7 +163,7 @@ def evaluate_core(run: dict[str, list[tuple[str, float]]],
             no_relevant.append(qid)
 
     contributing = [qid for qid in per_query if qid not in no_relevant]
-    names = [f"NDCG@{k}" for k in ks] + [f"P@{k}" for k in ks] + ["MAP", "MRR"]
+    names = _metric_names(ks)
     if contributing:
         means = {m: sum(per_query[q][m] for q in contributing) / len(contributing)
                  for m in names}
@@ -177,7 +178,7 @@ def evaluate_run(run_path, qrels_path, ks=(30, 50), threshold: int = 1) -> Metri
 
 def report_tsv(report: MetricReport, meta: dict | None = None) -> str:
     """The report as TSV: meta comment, count comment, one row per query, ALL."""
-    names = report.metric_names()
+    names = _metric_names(report.ks)
     lines = [artifacts.comment({
         "queries": report.queries_scored,
         "without_relevant": len(report.queries_without_relevant),
@@ -256,7 +257,7 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
 
 
 def sweep_tsv(axis: SweepAxis, results, ks=(30, 50), meta: dict | None = None) -> str:
-    names = [f"NDCG@{k}" for k in ks] + [f"P@{k}" for k in ks] + ["MAP", "MRR"]
+    names = _metric_names(ks)
     lines = ["\t".join([axis.value] + names)]
     for value, report in results:
         lines.append("\t".join([f"{value:g}"] + [f"{report.means[m]:.4f}" for m in names]))

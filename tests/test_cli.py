@@ -48,6 +48,72 @@ def test_invalid_training_flags_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["train-symbol2vec", "train-formula2vec", "sweep"])
+@pytest.mark.parametrize("flags,message", [
+    (["--epochs", "0"], "epochs must be >= 1"),
+    (["--lr-start", "0.001", "--lr-end", "0.01"], "need lr_start >= lr_end > 0"),
+    (["--min-count", "0"], "--min-count must be >= 1"),
+], ids=["epochs-zero", "lr-rising", "min-count-zero"])
+def test_invalid_training_flags_exit_two_before_reading_the_corpus(tmp_path, capsys, command,
+                                                                   flags, message):
+    missing = str(tmp_path / "missing")
+    inputs = {"sweep": ["--axis", "alpha", "--values", "4", "--store", missing,
+                        "--queries", missing, "--qrels", missing]}.get(command, [])
+    assert main([command, *inputs, "--corpus", missing, "--out", str(tmp_path / "m"),
+                 *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("method,flag", [("lm", "--index"), ("combined", "--index"),
+                                         ("formula2vec", "--model")])
+def test_search_without_its_method_input_exits_two_before_reading(tmp_path, capsys,
+                                                                  method, flag):
+    missing = str(tmp_path / "missing")
+    assert main(["search", "--store", missing, "--queries", missing, "--method", method,
+                 "--out", str(tmp_path / "r.run")]) == 2
+    assert capsys.readouterr().err == f"error: {flag} is required for method {method}\n"
+
+
+@pytest.mark.parametrize("power", ["nan", "inf", "1e308"])
+def test_degenerate_sample_power_exits_two(tmp_path, capsys, power):
+    store, train = tmp_path / "s.store", tmp_path / "t.corpus"
+    assert main(["ingest", "--collection", str(COLLECTION_PATH), "--out", str(store)]) == 0
+    assert main(["filter", "--store", str(store), "--out", str(train)]) == 0
+    capsys.readouterr()
+    assert main(["train-symbol2vec", "--corpus", str(train), "--out", str(tmp_path / "m"),
+                 "--dim", "4", "--epochs", "1", f"--sample-power={power}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sample" in err and err.count("\n") == 1
+    assert not (tmp_path / "m.meta.txt").exists()
+
+
+def test_query_id_equal_to_a_page_id_ranks_as_under_a_free_id(tmp_path):
+    # query formulae are inferred, never served the trained row of a page
+    # formula that shares their id
+    formulas = {"1": "x + y = z + 1", "2": "a \\cdot b = c - d + e",
+                "3": "\\sin x + \\cos y = u"}
+    collection = tmp_path / "c.jsonl"
+    collection.write_text("".join(json.dumps({"page_id": pid, "formulas": [latex]}) + "\n"
+                                  for pid, latex in formulas.items()))
+    p = {name: str(tmp_path / name) for name in ("c.store", "t.corpus", "f2v")}
+    for argv in (["ingest", "--collection", str(collection), "--out", p["c.store"]],
+                 ["filter", "--store", p["c.store"], "--out", p["t.corpus"]],
+                 ["train-formula2vec", "--corpus", p["t.corpus"], "--out", p["f2v"],
+                  "--dim", "16", "--epochs", "50", "--seed", "3"]):
+        assert main(argv) == 0
+    ranked = {}
+    for qid in ("1", "q"):
+        queries = tmp_path / f"{qid}.jsonl"
+        queries.write_text(json.dumps({"query_id": qid, "formulas": [formulas["2"]]}) + "\n")
+        run = tmp_path / f"{qid}.run"
+        assert main(["search", "--store", p["c.store"], "--queries", str(queries),
+                     "--method", "formula2vec", "--model", p["f2v"], "--out", str(run)]) == 0
+        ranked[qid] = [ln.split()[1:] for ln in run.read_text().splitlines()
+                       if not ln.startswith("#")]
+    assert ranked["1"] == ranked["q"]
+    assert ranked["q"][0][1] == "2"
+
+
 def test_dump_config_resolves_and_exits(capsys):
     code = main(["search", "--store", "s", "--queries", "q", "--method", "lm",
                  "--out", "r", "--dump-config"])
@@ -78,6 +144,13 @@ def test_config_flag_abbreviation_applies_file(tmp_path, capsys):
     assert main(["search", "--store", "s", "--queries", "q", "--method", "lm", "--out", "r",
                  "--conf", str(cfg_file), "--dump-config"]) == 0
     assert json.loads(capsys.readouterr().out)["alpha"] == 9.5
+
+
+def config_flags(tmp_path, extra):
+    """--config with a file that sets the flag extra[0] to the string extra[1]."""
+    cfg_file = tmp_path / "flag.json"
+    cfg_file.write_text(json.dumps({extra[0][2:].replace("-", "_"): extra[1]}))
+    return ["--config", str(cfg_file)]
 
 
 # per subcommand: the required flags, then a few non-default ones
@@ -197,6 +270,12 @@ class TestPipeline:
         assert surface == "\\sin" and rank == "1"
         float(cos)
 
+    def test_neighbors_names_an_unknown_symbol(self, pipeline, capsys):
+        capsys.readouterr()
+        assert main(["neighbors", "--model", str(pipeline["sym"]), "--symbol", "\\nosuch"]) == 1
+        assert capsys.readouterr().err == (
+            "error: symbol \\nosuch is not in the model's vocabulary\n")
+
     def test_pca_tsv(self, pipeline):
         lines = [ln for ln in pipeline["pca"].read_text().splitlines()
                  if not ln.startswith("#")]
@@ -271,9 +350,10 @@ class TestPipeline:
             "alpha-nan", "alpha-inf", "alpha-negative", "tag-space", "tag-empty"])
     def test_search_rejects_out_of_range_counts(self, pipeline, tmp_path, capsys, extra, rule):
         out = tmp_path / "r.run"
-        assert self.search(pipeline, out, "lm", *extra) == 2
-        assert capsys.readouterr().err == f"error: {extra[0]} must be {rule}\n"
-        assert not out.exists()
+        for flags in (extra, config_flags(tmp_path, extra)):
+            assert self.search(pipeline, out, "lm", *flags) == 2
+            assert capsys.readouterr().err == f"error: {extra[0]} must be {rule}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("axis,extra,rule", [
         ("alpha", ["--steps", "-1"], ">= 0"), ("alpha", ["--threshold", "0"], ">= 1"),
@@ -287,19 +367,24 @@ class TestPipeline:
         ("dimension", ["--values", "8,-8"], "integers >= 1"),
         ("dimension", ["--values", "nan"], "integers >= 1"),
         ("dimension", ["--values", "inf"], "integers >= 1"),
+        ("alpha", ["--ks", "30,0"], "one or more integers >= 1"),
     ], ids=["steps-negative", "threshold-zero", "values-nan", "values-inf", "values-negative",
             "mu-inf", "dimension-steps-negative", "dimension-values-fraction",
             "dimension-values-zero", "dimension-values-negative", "dimension-values-nan",
-            "dimension-values-inf"])
+            "dimension-values-inf", "ks-zero"])
     def test_sweep_rejects_out_of_range_values(self, pipeline, tmp_path, capsys,
                                                axis, extra, rule):
         out = tmp_path / "sweep.tsv"
-        assert main(["sweep", "--axis", axis, "--values", "0,4" if axis == "alpha" else "8",
-                     "--store", str(pipeline["store"]), "--corpus", str(pipeline["train"]),
-                     "--queries", str(QUERIES_PATH), "--qrels", str(QRELS_PATH),
-                     "--dim", "8", "--epochs", "1", "--out", str(out), *extra]) == 2
-        assert capsys.readouterr().err == f"error: {extra[0]} must be {rule}\n"
-        assert not out.exists()
+        # --values is required, so a config file's --values never wins over
+        # the command line's: its cases run from the command line only
+        for flags in ([extra] if extra[0] == "--values"
+                      else [extra, config_flags(tmp_path, extra)]):
+            assert main(["sweep", "--axis", axis, "--values", "0,4" if axis == "alpha" else "8",
+                         "--store", str(pipeline["store"]), "--corpus", str(pipeline["train"]),
+                         "--queries", str(QUERIES_PATH), "--qrels", str(QRELS_PATH),
+                         "--dim", "8", "--epochs", "1", "--out", str(out), *flags]) == 2
+            assert capsys.readouterr().err == f"error: {extra[0]} must be {rule}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("axis", ["dimension", "alpha"])
     @pytest.mark.parametrize("values", ["", ",", " , "], ids=["empty", "comma", "spaced-comma"])
@@ -363,9 +448,18 @@ class TestPipeline:
     @pytest.mark.parametrize("mu", ["nan", "inf", "-inf", "0"])
     def test_index_text_rejects_bad_mu(self, pipeline, tmp_path, capsys, mu):
         out = tmp_path / "t.index"
-        assert main(["index-text", "--store", str(pipeline["store"]), "--out", str(out),
-                     f"--mu={mu}"]) == 2
-        assert capsys.readouterr().err == "error: --mu must be finite and > 0\n"
+        for flags in ([f"--mu={mu}"], config_flags(tmp_path, ["--mu", mu])):
+            assert main(["index-text", "--store", str(pipeline["store"]), "--out", str(out),
+                         *flags]) == 2
+            assert capsys.readouterr().err == "error: --mu must be finite and > 0\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("ks", ["0", "30,0", "-5", ",", ""])
+    def test_evaluate_rejects_bad_ks(self, pipeline, tmp_path, capsys, ks):
+        out = tmp_path / "report.tsv"
+        assert main(["evaluate", "--run", str(pipeline["run_lm"]), "--qrels", str(QRELS_PATH),
+                     f"--ks={ks}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --ks must be one or more integers >= 1\n"
         assert not out.exists()
 
     def test_evaluate_rejects_threshold_below_one(self, pipeline, capsys):

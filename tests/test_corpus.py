@@ -166,6 +166,14 @@ class TestVocabulary:
         assert got.shape == (len(draws), 1) and got.dtype == want.dtype
         assert np.array_equal(got[:, 0], want)
 
+    @pytest.mark.parametrize("power", [math.nan, math.inf, 1e308])
+    def test_degenerate_sampling_power_rejected(self, power):
+        # no finite distribution: every draw would land on index 0
+        from mathemb.corpus import Vocabulary
+
+        with pytest.raises(ValueError, match="sample power"):
+            Vocabulary(["a", "b", "c", "d"], [5, 3, 2, 1], power)
+
     def test_fingerprint_changes_with_counts(self):
         v1 = build_vocabulary(formulas_from("a a b"))
         v2 = build_vocabulary(formulas_from("a b b"))

@@ -783,6 +783,20 @@ class TestPersistence:
             load_table(prefix)
         assert main(["neighbors", "--model", str(prefix), "--symbol", "a"]) == 1
 
+    @pytest.mark.parametrize("power", ["NaN", "Infinity", "1e308"])
+    def test_degenerate_sampling_power_rejected_with_line(self, trained_symbol_table,
+                                                          tmp_path, capsys, power):
+        prefix = tmp_path / "model"
+        save_table(trained_symbol_table, prefix)
+        meta = tmp_path / "model.meta.txt"
+        text = meta.read_text()
+        assert '"sampling_power":0.75,' in text
+        meta.write_text(text.replace('"sampling_power":0.75,', f'"sampling_power":{power},'))
+        with pytest.raises(MalformedRecord, match="model.meta.txt:2: .*sample power"):
+            load_table(prefix)
+        assert main(["neighbors", "--model", str(prefix), "--symbol", "a"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {meta}:2: ")
+
     def test_tampered_meta_rejected(self, trained_symbol_table, tmp_path):
         prefix = tmp_path / "model"
         save_table(trained_symbol_table, prefix)
