@@ -1,11 +1,12 @@
 """Read-only analysis over a trained table: cosine similarity, nearest
 neighbors, and a 2-D PCA projection suitable for external plotting.
 
-Neighbor ranking uses the input vectors only: one product of the
-L2-normalised candidate rows with the normalised query row.  PCA takes the
-leading eigenvectors of the covariance matrix (np.linalg.eigh); the sign
-convention (largest-magnitude entry of each component is positive) keeps
-golden files stable.
+Neighbor ranking uses the input vectors only: the table is L2-normalised
+and its surfaces ranked once per call, however many symbols are queried,
+and each query is then one product of the normalised rows with its own.
+PCA takes the leading eigenvectors of the covariance matrix
+(np.linalg.eigh); the sign convention (largest-magnitude entry of each
+component is positive) keeps golden files stable.
 """
 
 from __future__ import annotations
@@ -78,30 +79,48 @@ class NeighborList:
     neighbors: list[tuple[str, float]]   # (surface, cosine), descending
 
 
-def nearest_neighbors(table: EmbeddingTable, surface: str, k: int) -> NeighborList:
-    """Exact top-k by cosine, brute force over all vocabulary rows.
+def neighbor_lists(table: EmbeddingTable, surfaces, k: int) -> list[NeighborList]:
+    """Exact top-k by cosine for each of surfaces, brute force over all
+    vocabulary rows.
 
     The query surface is excluded; ties break lexicographically.  Candidate
     rows whose entries are all 0 (untrainable in practice) are skipped.  The
-    cosines are one product of the normalised candidate rows with the
-    normalised query row, computed row by row in the same order for every
-    row, so identical rows get identical cosines.
+    table is normalised and its surfaces ranked once per call; each query's
+    cosines are then one product of the normalised rows with its own
+    normalised row, computed row by row in the same order for every row, so
+    identical rows get identical cosines.  Each query holds O(V) memory,
+    never a V x V array.  Surfaces are checked in order, so the first bad
+    one raises as it would alone.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if surface not in table.vocab.index:
-        raise UnknownSurface(f"symbol {surface} is not in the model's vocabulary")
-    q = table.vector(surface)
-    if not np.any(q):
-        raise ZeroVector(f"vector of {surface!r} is zero")
-    keep = np.any(table.input_vectors, axis=1)
-    keep[table.vocab.index[surface]] = False
-    candidates = np.flatnonzero(keep)
-    cos = np.clip(np.einsum("ij,j->i", unit_rows(table.input_vectors[candidates]),
-                            unit_rows(q[np.newaxis])[0]), -1.0, 1.0)
-    names = np.asarray(table.vocab.surfaces)[candidates]
-    top = np.lexsort((names, -cos))[:k]
-    return NeighborList(surface, [(str(names[j]), float(cos[j])) for j in top])
+    vocab, x = table.vocab, table.input_vectors
+    live = np.flatnonzero(np.any(x, axis=1))
+    at = np.full(len(vocab), -1)                # row -> its place in live, -1 if zero
+    at[live] = np.arange(len(live))
+    # each live row's place in surface order: the tie-break as one integer key
+    rank = np.argsort(sorted(range(len(vocab)), key=vocab.surfaces.__getitem__))[live]
+    unit = None     # normalised at the first valid query, so its checks come first
+    out = []
+    for surface in surfaces:
+        if surface not in vocab.index:
+            raise UnknownSurface(f"symbol {surface} is not in the model's vocabulary")
+        q = at[vocab.index[surface]]
+        if q < 0:
+            raise ZeroVector(f"vector of {surface!r} is zero")
+        if unit is None:
+            unit = unit_rows(x[live])
+        cos = np.clip(np.einsum("ij,j->i", unit, unit[q]), -1.0, 1.0)
+        top = np.lexsort((rank, -cos))
+        top = top[top != q][:k]
+        out.append(NeighborList(surface, [(vocab.surfaces[i], c) for i, c in
+                                          zip(live[top].tolist(), cos[top].tolist())]))
+    return out
+
+
+def nearest_neighbors(table: EmbeddingTable, surface: str, k: int) -> NeighborList:
+    """The top-k neighbors of one surface (neighbor_lists)."""
+    return neighbor_lists(table, [surface], k)[0]
 
 
 @dataclass

@@ -8,9 +8,9 @@ An artifact is UTF-8 text with "\\n" line endings:
 
 The meta comment writes its keys in the order of the mapping it is given,
 so a caller that wants them sorted passes them sorted.  Readers check the
-header, skip blank lines and "#" lines, and report every defect as
-MalformedRecord with "path:line: message", which the CLI turns into a
-one-line diagnostic and exit code 1.
+header, skip blank lines and "#" lines, and report every defect, a line
+that is not UTF-8 among them, as MalformedRecord with "path:line: message",
+which the CLI turns into a one-line diagnostic and exit code 1.
 """
 
 from __future__ import annotations
@@ -50,6 +50,26 @@ def write(path, body, header: str | None = None, meta=None) -> None:
     write_text(path, render(body, header, meta))
 
 
+def read_lines(path):
+    """(line number, line) of each line of the UTF-8 text file path.
+
+    Each line is checked as it is reached: one that holds a byte sequence
+    that is not UTF-8 raises MalformedRecord with "path:line:", so a defect
+    on an earlier line is reported first.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    # surrogateescape kept the undecodable byte as U+DC80..U+DCFF
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise MalformedRecord(
+                        f"{path}:{line_no}: byte 0x{byte:02x} is not UTF-8") from None
+            yield line_no, line
+
+
 def read_records(path, parse, header: str | None = None) -> list:
     """parse(record) for every JSON-lines record of path, in file order.
 
@@ -60,31 +80,29 @@ def read_records(path, parse, header: str | None = None) -> list:
     message starts with "path:line:".
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        start = 1
-        if header is not None:
-            first = fh.readline().rstrip("\n")
-            if first != header:
-                raise MalformedRecord(f"{path}:1: expected header {header!r}, got {first!r}")
-            start = 2
-        for line_no, line in enumerate(fh, start=start):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise MalformedRecord(f"{path}:{line_no}: record is not an object")
-            try:
-                out.append(parse(record))
-            except KeyError as exc:
-                raise MalformedRecord(f"{path}:{line_no}: missing field {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise MalformedRecord(f"{path}:{line_no}: bad record ({exc})") from None
-            except MathembError as exc:
-                raise type(exc)(f"{path}:{line_no}: {exc}") from None
+    lines = read_lines(path)
+    if header is not None:
+        first = next(lines, (1, ""))[1].rstrip("\n")
+        if first != header:
+            raise MalformedRecord(f"{path}:1: expected header {header!r}, got {first!r}")
+    for line_no, line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
+        if not isinstance(record, dict):
+            raise MalformedRecord(f"{path}:{line_no}: record is not an object")
+        try:
+            out.append(parse(record))
+        except KeyError as exc:
+            raise MalformedRecord(f"{path}:{line_no}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise MalformedRecord(f"{path}:{line_no}: bad record ({exc})") from None
+        except MathembError as exc:
+            raise type(exc)(f"{path}:{line_no}: {exc}") from None
     return out
 
 
@@ -92,14 +110,13 @@ def read_fields(path, count: int, error=MalformedRecord):
     """(line number, fields) of each line of a whitespace-separated text file
     such as a TREC run or qrels file, skipping blank lines and "#" lines.  A
     line with other than count fields raises error with "path:line:"."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields or fields[0].startswith("#"):
-                continue
-            if len(fields) != count:
-                raise error(f"{path}:{line_no}: expected {count} fields, got {len(fields)}")
-            yield line_no, fields
+    for line_no, line in read_lines(path):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != count:
+            raise error(f"{path}:{line_no}: expected {count} fields, got {len(fields)}")
+        yield line_no, fields
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +137,7 @@ def read_vectors(path, header: str | None = None):
     bad count line, a row whose width differs from the count line, an entry
     that is not a finite number, or fewer rows than the count line promises.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln.rstrip("\n") for _, ln in read_lines(path)]
     pos = 0
     if header is not None:
         if not lines or lines[0] != header:

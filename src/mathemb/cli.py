@@ -2,7 +2,9 @@
 
 Subcommands cover the whole pipeline: tokenize, ingest, filter,
 train-symbol2vec, train-formula2vec, neighbors, pca, index-text, search,
-evaluate, sweep.  --dump-config prints the resolved configuration as JSON and
+evaluate, sweep.  Each subcommand's flags are added to the parser only when
+that subcommand is parsed or its help printed, so a command builds no other
+command's flags.  --dump-config prints the resolved configuration as JSON and
 exits.  --config reads such a JSON object (keys: the dests it prints) as flags
 put before the command line's own, which win: null keeps the default, a switch
 takes true or false, a repeatable flag a list, any other key a string or
@@ -12,9 +14,10 @@ configuration, so reruns with the same inputs and seed are byte-identical.
 
 Exit codes: 0 success, 1 data error (one-line diagnostic on stderr),
 2 usage error.  A flag value out of its range (--top, --steps, --threshold,
---mu, --alpha, --tag, --ks, --values, --min-count, and the training flags
---dim, --window, --negatives, --epochs, --lr-start, --lr-end) is a usage
-error, raised before any file is read.
+--mu, --alpha, --tag, --ks, --values, --min-count, neighbors --k,
+pca --components, and the training flags --dim, --window, --negatives,
+--epochs, --lr-start, --lr-end) is a usage error, raised before any file is
+read.
 """
 
 from __future__ import annotations
@@ -68,6 +71,36 @@ class _Checked(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that holds back its add_argument calls until it
+    parses or formats its help or usage, so a command adds no other
+    command's flags."""
+
+    def __init__(self, *args, **kwargs):
+        self._held = []
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        self._held.append((args, kwargs))
+
+    def _add_held(self):
+        held, self._held = self._held, []
+        for args, kwargs in held:
+            super().add_argument(*args, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._add_held()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self):
+        self._add_held()
+        return super().format_usage()
+
+    def format_help(self):
+        self._add_held()
+        return super().format_help()
+
+
 def _add_training_flags(p, default_dim):
     p.add_argument("--dim", type=int, default=default_dim,
                    help=f"embedding dimension (default {default_dim})")
@@ -93,7 +126,7 @@ def build_parser():
         description=f"Formula embeddings for math-aware page retrieval ({REFERENCE_SETTINGS}).",
     )
     parser.add_argument("--version", action="version", version=f"mathemb {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     def add(name, help_text, handler, check=None):
         """The subcommand's parser; check(args) runs its cross-flag rules after parsing."""
@@ -130,12 +163,13 @@ def build_parser():
     p.add_argument("--model", required=True, help="model file prefix")
     p.add_argument("--symbol", action="append", default=None,
                    help="query surface; repeatable; default: all")
-    p.add_argument("--k", type=int, default=8, help="neighbors per symbol (default 8)")
+    p.add_argument("--k", type=int, default=8, action=_Checked, must="be >= 1",
+                   help="neighbors per symbol (default 8)")
     p.add_argument("--out", default=None, help="output TSV (default stdout)")
 
     p = add("pca", "2-D principal-component coordinates of symbol vectors, as TSV", _cmd_pca)
     p.add_argument("--model", required=True, help="model file prefix")
-    p.add_argument("--components", type=int, default=2,
+    p.add_argument("--components", type=int, default=2, action=_Checked, must="be >= 1",
                    help="principal components kept (default 2)")
     p.add_argument("--l2-normalize", action="store_true",
                    help="length-normalize vectors before projecting")
@@ -314,16 +348,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_neighbors(args) -> int:
-    from .analysis import nearest_neighbors
+    from .analysis import neighbor_lists
     from .embeddings import load_table
 
     table = load_table(args.model)
-    symbols = args.symbol if args.symbol else list(table.vocab.surfaces)
     lines = ["surface\trank\tneighbor\tcosine"]
-    for s in symbols:
-        nl = nearest_neighbors(table, s, args.k)
+    for nl in neighbor_lists(table, args.symbol or table.vocab.surfaces, args.k):
         for rank, (other, cos) in enumerate(nl.neighbors, start=1):
-            lines.append(f"{s}\t{rank}\t{other}\t{cos:.6f}")
+            lines.append(f"{nl.query}\t{rank}\t{other}\t{cos:.6f}")
     _write_or_print(artifacts.render(lines, meta=_meta(args, seed=table.config.seed)), args.out)
     return 0
 

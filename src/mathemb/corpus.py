@@ -73,8 +73,7 @@ def normalize_text(text: str, stopwords: frozenset[str] = frozenset()) -> list[s
 
 
 def load_stopwords(path) -> frozenset[str]:
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(w.strip().lower() for w in fh if w.strip())
+    return frozenset(w.strip().lower() for _, w in artifacts.read_lines(path) if w.strip())
 
 
 def _check_id(value, kind: str) -> str:

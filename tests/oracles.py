@@ -154,6 +154,25 @@ def oracle_page_score(query_vecs, page_vecs):
     return total / (len(query_vecs) * len(page_vecs))
 
 
+def oracle_nearest_neighbors(table, surface, k):
+    """One query's neighbors the per-symbol way: every row normalised again
+    for this query alone, the query removed before the product, and ties
+    broken on the surface strings themselves.  Returns [(surface, cosine)].
+    It shares unit_rows with the package, so the batched search must match
+    it bit for bit."""
+    from mathemb.analysis import unit_rows
+
+    q = table.vector(surface)
+    keep = np.any(table.input_vectors, axis=1)
+    keep[table.vocab.index[surface]] = False
+    candidates = np.flatnonzero(keep)
+    cos = np.clip(np.einsum("ij,j->i", unit_rows(table.input_vectors[candidates]),
+                            unit_rows(q[np.newaxis])[0]), -1.0, 1.0)
+    names = [table.vocab.surfaces[i] for i in candidates]
+    top = sorted(range(len(candidates)), key=lambda j: (-cos[j], names[j]))[:k]
+    return [(names[j], float(cos[j])) for j in top]
+
+
 def oracle_lm_score(keywords, page_terms, collection_terms, mu):
     """Dirichlet-smoothed log query likelihood of one page, one keyword at a
     time: page_terms is the page's term list, collection_terms the term list

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mathemb.analysis import cosine, nearest_neighbors, pca_matrix, pca_project, unit_rows
+from mathemb.analysis import (
+    cosine, nearest_neighbors, neighbor_lists, pca_matrix, pca_project, unit_rows,
+)
 from mathemb.corpus import Vocabulary
 from mathemb.embeddings import EmbeddingTable, TrainingConfig
 from mathemb.errors import (
     DimensionMismatch, InsufficientRows, NonFiniteVector, UnknownSurface, ZeroVector,
 )
 
-from oracles import oracle_cosine
+from oracles import oracle_cosine, oracle_nearest_neighbors
 
 finite_vec = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=6)
@@ -175,6 +177,70 @@ class TestNearestNeighbors:
             a = [s for s, _ in nearest_neighbors(t1, probe, 19).neighbors]
             b = [s for s, _ in nearest_neighbors(t2, probe, 19).neighbors]
             assert a == b
+
+
+def _neighbor_case(name):
+    """(matrix, k) for one kind of table the batched neighbor search must get right."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    m = rng.normal(size=(31, 7))
+    if name == "ties":
+        m[[2, 9, 17, 30]] = m[4] * np.array([[3.0], [0.5], [1.0], [2.0]])
+        m[[5, 6]] = -m[4]
+    elif name == "zero-rows":
+        m[[0, 8, 19]] = 0.0
+    elif name == "duplicate-rows":
+        m[10:20] = m[3]
+    elif name == "extreme-scales":
+        m *= 10.0 ** rng.choice([-200, -100, 0, 100, 200], size=(31, 1))
+    return m, 31 + 5 if name == "k-beyond-vocabulary" else 6
+
+
+class TestBatchedNeighbors:
+    @pytest.mark.parametrize("case", ["ties", "zero-rows", "duplicate-rows", "extreme-scales",
+                                      "k-beyond-vocabulary"])
+    def test_matches_per_symbol_search_bit_for_bit(self, case):
+        m, k = _neighbor_case(case)
+        surfaces = [f"s{i:02d}" for i in np.random.default_rng(1).permutation(len(m))]
+        table = table_from_matrix(m, surfaces)
+        live = [s for s, row in zip(surfaces, m) if np.any(row)]
+        got = neighbor_lists(table, live, k)
+        assert [nl.query for nl in got] == live
+        for nl in got:
+            want = oracle_nearest_neighbors(table, nl.query, k)
+            assert [(s, c.hex()) for s, c in nl.neighbors] == [(s, c.hex()) for s, c in want]
+            assert nearest_neighbors(table, nl.query, k) == nl
+
+    def test_first_bad_surface_raises_in_query_order(self):
+        m = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
+        table = table_from_matrix(m)
+        with pytest.raises(ZeroVector):
+            neighbor_lists(table, ["a", "b", "zz"], 1)
+        with pytest.raises(UnknownSurface):
+            neighbor_lists(table, ["a", "zz", "b"], 1)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            neighbor_lists(table, ["a"], 0)
+        m[2, 0] = math.nan
+        with pytest.raises(UnknownSurface):     # checked before the table is normalised
+            neighbor_lists(table_from_matrix(m), ["zz", "a"], 1)
+        with pytest.raises(NonFiniteVector):
+            neighbor_lists(table_from_matrix(m), ["a", "zz"], 1)
+
+    def test_memory_holds_no_vocabulary_square(self):
+        # the table is normalised once and each query holds one cosine per
+        # row: at 20,000 surfaces the tracemalloc peak stays within a few
+        # copies of the table, where one (V x V) float64 matrix is 3.2 GB
+        import tracemalloc
+
+        v = 20_000
+        m = np.random.default_rng(2).normal(size=(v, 8))
+        table = table_from_matrix(m, [f"s{i:05d}" for i in range(v)])
+        tracemalloc.start()
+        try:
+            neighbor_lists(table, table.vocab.surfaces[:20], 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * m.nbytes
 
 
 class TestPCA:

@@ -8,7 +8,9 @@ import pytest
 
 from mathemb.cli import build_parser, main
 
-from conftest import COLLECTION_PATH, QRELS_PATH, QUERIES_PATH, ROOT, run_full_pipeline
+from conftest import (
+    COLLECTION_PATH, QRELS_PATH, QUERIES_PATH, ROOT, TEST_DATA, run_full_pipeline,
+)
 
 
 def test_tokenize_stdin_stdout(monkeypatch, capsys):
@@ -188,9 +190,35 @@ def test_dump_config_round_trips_through_config_file(tmp_path, capsys, command):
 
 def test_every_option_has_help():
     _, commands = build_parser()
+    for p in commands.values():
+        p.format_help()             # adds the flags a subcommand holds until it is used
+        assert "--config" in p._option_string_actions
     silent = [f"{name} {a.option_strings[-1]}" for name, p in commands.items()
               for a in p._actions if a.option_strings and not a.help]
     assert silent == []
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the help text was captured with Python 3.11's argparse layout")
+def test_help_text_is_unchanged(monkeypatch, capsys):
+    # every subcommand's flags are added only when it is used; its --help,
+    # and the top-level list of subcommands, read as they always have
+    monkeypatch.setenv("COLUMNS", "80")
+    shown = []
+    for argv in [["--help"]] + [[name, "--help"] for name in build_parser()[1]]:
+        assert main(argv) == 0
+        shown.append(f"$ mathemb {' '.join(argv)}\n{capsys.readouterr().out}")
+    assert "".join(shown) == (TEST_DATA / "cli_help_80.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command,extra", [("neighbors", ["--k", "0"]),
+                                           ("pca", ["--components", "0"])])
+def test_analysis_counts_below_one_exit_two_before_reading_the_model(tmp_path, capsys, via,
+                                                                     command, extra):
+    flags = extra if via == "flag" else config_flags(tmp_path, extra)
+    assert main([command, "--model", str(tmp_path / "missing"), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {extra[0]} must be >= 1\n"
 
 
 def test_version_flag(capsys):
@@ -509,6 +537,35 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths[artifact]}:{line_no}: "), err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("reader", ["collection", "stopwords", "run", "qrels", "vectors"])
+    def test_non_utf8_line_exits_one_with_path_and_line(self, pipeline, tmp_path, capsys,
+                                                        reader):
+        # each reader decodes line by line: the bad byte's own line is named,
+        # and the lines before it are read as usual
+        files = {name: tmp_path / name for name in ("collection", "stopwords", "run", "qrels")}
+        for name, source in (("collection", COLLECTION_PATH), ("run", pipeline["run_lm"]),
+                             ("qrels", QRELS_PATH)):
+            shutil.copy(source, files[name])
+        files["stopwords"].write_text("the\na\nof\nand\n")
+        model = tmp_path / "sym"
+        for part in ("meta", "wv", "ctx"):
+            shutil.copy(f"{pipeline['sym']}.{part}.txt", f"{model}.{part}.txt")
+        files["vectors"] = tmp_path / "sym.wv.txt"
+        lines = files[reader].read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3].replace(b"\n", b"\xff\n")
+        files[reader].write_bytes(b"".join(lines))
+        command = {"collection": "ingest", "stopwords": "ingest", "run": "evaluate",
+                   "qrels": "evaluate", "vectors": "neighbors"}[reader]
+        argv = {
+            "ingest": ["ingest", "--collection", str(files["collection"]),
+                       "--stopwords", str(files["stopwords"]), "--out", str(tmp_path / "s")],
+            "evaluate": ["evaluate", "--run", str(files["run"]), "--qrels", str(files["qrels"])],
+            "neighbors": ["neighbors", "--model", str(model)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {files[reader]}:4: byte 0xff is not UTF-8\n"
 
     def test_search_rejects_index_of_other_pages(self, pipeline, tmp_path, capsys):
         store = tmp_path / "c.store"
