@@ -304,8 +304,13 @@ def _training_config(args, mode):
 def _cmd_tokenize(args) -> int:
     from .tokenizer import tokenize_surfaces
 
-    for line in sys.stdin:
-        sys.stdout.write(" ".join(tokenize_surfaces(line)) + "\n")
+    # bytes, so that a line that is not UTF-8 fails whatever the locale
+    for line_no, line in enumerate(sys.stdin.buffer, start=1):
+        try:
+            surfaces = tokenize_surfaces(line)
+        except MathembError as exc:
+            raise type(exc)(f"stdin:{line_no}: {exc}") from None
+        sys.stdout.write(" ".join(surfaces) + "\n")
     return 0
 
 

@@ -136,6 +136,9 @@ def ingest_queries(path, stopwords: frozenset[str] = frozenset()) -> list[Query]
 
     def query(rec) -> Query:
         query_id = _check_id(rec.get("query_id"), "query_id")
+        if query_id.startswith("#"):
+            # run and qrels readers skip "#" lines as comments
+            raise MalformedRecord(f"query_id must not start with '#', got {query_id!r}")
         if query_id in seen:
             raise DuplicateQueryId(f"duplicate query_id {query_id!r}")
         seen.add(query_id)

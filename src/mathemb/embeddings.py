@@ -5,11 +5,11 @@ its context rows against k sampled negatives,
 
     L = -log sigma(u_pos . h) - sum_n log sigma(-u_n . h)
 
-where h is the mean of the context token input vectors (symbol mode) or the
-mean of the formula vector together with the context token input vectors
-(formula mode).  Gradients are exact: the gradient on h is split equally over
-every row that entered the mean, so a finite-difference check of the applied
-updates reproduces the analytic gradient.
+where h is the mean of the context token input vectors, joined in formula
+mode by the formula vector, one more member (a word-table row past the pad).
+Gradients are exact: the gradient on h is split equally over every row that
+entered the mean, so a finite-difference check of the applied updates
+reproduces the analytic gradient.
 
 One kernel, _sgd, applies this update to a block of positions at once:
 every gradient in the block is taken from the rows as they were before it,
@@ -17,10 +17,10 @@ and the updates are summed into them (minibatch Hogwild; cbow_step and
 pvdm_step are the kernel on a block of one).  Its gradient core, _gradient,
 takes the dots, the sigmoid step of every output row and the step of every
 member of the mean; _sgd forms the context means and adds the updates.  The
-output and word rows take theirs as one product each over the block's own
-distinct rows (a positions x distinct-rows coefficient matrix from one
-np.bincount, times the context means or the member steps), so a block's
-cost does not grow with the vocabulary; the formula rows take np.add.at.
+output and word rows (formula rows among them) take theirs as one product
+each over the block's own distinct rows (a positions x distinct-rows
+coefficient matrix from one np.bincount, times the context means or the
+member steps), so a block's cost does not grow with the vocabulary.
 Training walks each epoch's positions position-major (the first position of
 every formula, then the second, ...) in blocks of _BLOCK, so a block rarely
 updates one formula row twice; the learning rate falls linearly over the
@@ -206,14 +206,14 @@ class _Rows(NamedTuple):
                      [0, stop - start], [0, last - first])
 
 
-def _block_rows(ids, counts, block: int, edges, size: int) -> _Rows:
-    """_Rows of the entries ids (rows below size), counts[p] of them for
-    the p-th position, in blocks of `block` positions whose entries start
-    at edges.  One sort of every (block, row) key finds each block's
-    distinct rows, so no block sorts its own, and a block's coefficient
-    matrix has a column per row it uses, never one per row of the table.
-    (np.unique would do the same with about twice the temporary memory.)"""
-    m = len(counts)
+def _block_rows(ids, counts, block: int, edges) -> _Rows:
+    """_Rows of the entries ids, counts[p] of them for the p-th position, in
+    blocks of `block` positions whose entries start at edges.  One sort of
+    every (block, row) key finds each block's distinct rows, so no block
+    sorts its own, and a block's coefficient matrix has a column per row it
+    uses, never one per row of the table.  (np.unique would do the same with
+    about twice the temporary memory.)"""
+    m, size = len(counts), int(ids.max()) + 1
     block_of = np.arange(m) // block
     keys = np.repeat(block_of * size, counts)
     keys += ids.ravel()
@@ -233,7 +233,7 @@ def _block_rows(ids, counts, block: int, edges, size: int) -> _Rows:
 def _tables(ctx, targets, negatives, pad, block: int | None = None):
     """What SGD over m positions, in blocks of `block` (one block of all m
     by default), needs of their draws alone, before any row is read: each
-    context's token count; the context members as _Rows of the word table;
+    context's member count; the context members as _Rows of the word table;
     where each block starts (bounds, m at the end); each position's output
     rows, target first, as _Rows of the output table; and their live mask
     (False for a dropped negative).  Training builds them once per epoch
@@ -246,9 +246,9 @@ def _tables(ctx, targets, negatives, pad, block: int | None = None):
     bounds = np.append(np.arange(0, m, block), m)
     offsets = np.concatenate(([0], np.cumsum(n_ctx)))
     return (n_ctx,
-            _block_rows(ctx[in_ctx], n_ctx, block, offsets[bounds], pad + 1),
+            _block_rows(ctx[in_ctx], n_ctx, block, offsets[bounds]),
             bounds,
-            _block_rows(rows, np.full(m, rows.shape[1]), block, bounds, pad + 1),
+            _block_rows(rows, np.full(m, rows.shape[1]), block, bounds),
             rows != pad)
 
 
@@ -262,29 +262,21 @@ def _add(table, rows: _Rows, values, weights=None) -> None:
     table[rows.distinct] += coef.reshape(len(values), -1).T @ values
 
 
-def _sgd(words, outputs, docs, doc_rows, ctx, n_ctx, members, rows, live, lr) -> np.ndarray:
+def _sgd(words, outputs, ctx, n_ctx, members, rows, live, lr) -> np.ndarray:
     """One simultaneous SGD update over m positions, one block; returns the
     pre-update dots (m, k+1) of each position's output rows, from which
     _loss gives its loss.
 
     ctx (m, c) indexes words, words[pad] being a zero row that fills the
-    empty slots; n_ctx, members, rows and live are the _tables of this
-    block.  h is the mean of the context rows, joined by docs[doc_rows]
-    when docs is not None; rows.ids index outputs.  lr is one rate or one
-    per position.  Every gradient is taken at the rows as they are on entry
-    and the m updates are summed into them, so a row used twice in the
-    block gets both: _add sums each output and member row's updates in one
-    product, and the block's few formula rows take theirs with np.add.at,
-    which a product does not beat at that size.
+    empty slots (in formula mode the last column is the formula's row);
+    n_ctx, members, rows and live are the _tables of this block, and
+    rows.ids index outputs.  h is the mean of the context rows.  lr is one
+    rate or one per position.  Every gradient is taken at the rows as they
+    are on entry and the m updates are summed into them, so a row used
+    twice in the block gets both: _add sums each table's in one product.
     """
-    n_members = n_ctx if docs is None else n_ctx + 1
-    h = words[ctx].sum(axis=1)
-    if docs is not None:
-        h += docs[doc_rows]
-    h /= n_members[:, None]
-    dots, step, member_step = _gradient(h, outputs[rows.ids], live, lr, n_members)
-    if docs is not None:
-        np.add.at(docs, doc_rows, member_step)
+    h = words[ctx].sum(axis=1) / n_ctx[:, None]
+    dots, step, member_step = _gradient(h, outputs[rows.ids], live, lr, n_ctx)
     _add(outputs, rows, h, step)
     _add(words, members, member_step)
     return dots
@@ -299,15 +291,26 @@ def _loss(dots, live) -> np.ndarray:
 
 def _one_step(table: EmbeddingTable, doc_row, context_indices, target_index,
               negative_indices, lr: float) -> float:
+    """_sgd on one position, over the rows stacked as training lays them
+    out (input | pad | formula), which are then written back."""
+    pad, dim = table.input_vectors.shape    # as many rows as context_vectors
+    docs = np.empty((0, dim)) if table.formula_vectors is None else table.formula_vectors
+    ctx = np.asarray(context_indices, dtype=np.intp).reshape(1, -1)
     negatives = np.asarray(negative_indices, dtype=np.intp).reshape(1, -1)
+    for kind, indices, n in (("context", ctx, pad), ("target", target_index, pad),
+                             ("negative", negatives, pad),
+                             ("formula row", [] if doc_row is None else doc_row, len(docs))):
+        for i in np.ravel(indices):
+            if not 0 <= i < n:
+                raise ValueError(f"{kind} index {i} is outside [0, {n})")
     if (negatives == target_index).any():
         raise ValueError("target index must not appear among the negatives")
-    docs = None if doc_row is None else table.formula_vectors
-    ctx = np.asarray(context_indices, dtype=np.intp).reshape(1, -1)
-    n_ctx, members, _, rows, live = _tables(ctx, np.array([target_index]), negatives,
-                                            len(table.vocab))
-    dots = _sgd(table.input_vectors, table.context_vectors, docs, [doc_row], ctx, n_ctx,
-                members, rows, live, lr)
+    if doc_row is not None:
+        ctx = np.append(ctx, [[pad + 1 + doc_row]], axis=1)
+    words = np.vstack((table.input_vectors, np.zeros((1, dim)), docs))
+    n_ctx, members, _, rows, live = _tables(ctx, np.array([target_index]), negatives, pad)
+    dots = _sgd(words, table.context_vectors, ctx, n_ctx, members, rows, live, lr)
+    table.input_vectors[:], docs[:] = words[:pad], words[pad + 1:]
     return float(_loss(dots, live)[0])
 
 
@@ -321,10 +324,8 @@ def cbow_step(table: EmbeddingTable, context_indices, target_index,
 
 def pvdm_step(table: EmbeddingTable, formula_row: int, context_indices,
               target_index, negative_indices, lr: float) -> float:
-    """Single PV-DM update: the formula row joins the context mean.
-
-    The token context may be empty; the formula vector alone then forms h.
-    """
+    """Single PV-DM update: the formula row joins the context mean, and
+    forms it alone when the token context is empty."""
     return _one_step(table, formula_row, context_indices, target_index, negative_indices, lr)
 
 
@@ -390,11 +391,11 @@ def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
     rng = np.random.default_rng(config.seed)
     dim, window, pad = config.dim, config.window, len(vocab)
     bound = 0.5 / dim
-    # one zero row past the vocabulary pads short windows and dropped negatives
-    words = np.zeros((pad + 1, dim))
+    # vocabulary rows | a zero row for short windows and dropped negatives | formula rows
+    words = np.zeros((pad + 1 + len(seqs) * with_docs, dim))
     words[:pad] = rng.uniform(-bound, bound, (pad, dim))
     outputs = np.zeros((pad + 1, dim))
-    docs = rng.uniform(-bound, bound, (len(seqs), dim)) if with_docs else None
+    words[pad + 1:] = rng.uniform(-bound, bound, (len(seqs) * with_docs, dim))
 
     # a position needs a context token or, in formula mode, the formula row
     # and one more token to predict from it; either way two tokens
@@ -404,7 +405,8 @@ def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
     table = EmbeddingTable(
         config=config, vocab=vocab,
         input_vectors=words[:pad], context_vectors=outputs[:pad],
-        formula_vectors=docs, formula_ids=[f.id for f in formulas] if with_docs else None,
+        formula_vectors=words[pad + 1:] if with_docs else None,
+        formula_ids=[f.id for f in formulas] if with_docs else None,
         skipped_short=len(seqs) - len(trainable),
     )
 
@@ -416,7 +418,7 @@ def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
     offsets = np.concatenate([np.arange(size) for size in lens])
     order = np.argsort(offsets, kind="stable")
     centers = (np.repeat(starts, lens) + offsets)[order]
-    doc_rows = np.repeat(trainable, lens)[order]
+    doc_rows = pad + 1 + np.repeat(trainable, lens)[order, None]
     targets = flat[centers]
     n = len(centers)
     lr_span, denom = config.lr_start - config.lr_end, max(1, config.epochs * n - 1)
@@ -426,22 +428,22 @@ def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
         widths = rng.integers(1, window + 1, n)
         negatives = _negatives(vocab, rng, targets, config.negatives, pad)
         ctx = _windows(flat, centers, widths, window, pad)
-        table.epoch_losses.append(_epoch(words, outputs, docs, doc_rows, ctx, targets, negatives,
-                                         lr, pad))
+        if with_docs:
+            ctx = np.hstack((ctx, doc_rows))
+        table.epoch_losses.append(_epoch(words, outputs, ctx, targets, negatives, lr, pad))
     return table
 
 
-def _epoch(words, outputs, docs, doc_rows, ctx, targets, negatives, lr, pad) -> float:
-    """One epoch of _sgd over its positions, in blocks of _BLOCK, from the
-    epoch's draws; returns the epoch's mean loss.  The epoch's _tables live
-    only while it runs, so they are gone before the next epoch builds its
-    own."""
+def _epoch(words, outputs, ctx, targets, negatives, lr, pad) -> float:
+    """One epoch of _sgd in blocks of _BLOCK, from the epoch's draws; returns
+    its mean loss.  Its _tables live only while it runs, so they are gone
+    before the next epoch builds its own."""
     n_ctx, members, bounds, rows, live = _tables(ctx, targets, negatives, pad, _BLOCK)
     dots = np.empty(live.shape)
     for j, (i, end) in enumerate(zip(bounds[:-1], bounds[1:])):
         b = slice(i, end)
-        dots[b] = _sgd(words, outputs, docs, doc_rows[b], ctx[b], n_ctx[b], members.block(j),
-                       rows.block(j), live[b], lr[b])
+        dots[b] = _sgd(words, outputs, ctx[b], n_ctx[b], members.block(j), rows.block(j),
+                       live[b], lr[b])
     return float(_loss(dots, live).mean())
 
 
@@ -632,9 +634,7 @@ def save_table(table: EmbeddingTable, prefix) -> None:
         artifacts.write_vectors(f"{prefix}.dv.txt", table.formula_ids, table.formula_vectors,
                                 DOCVEC_HEADER, comment)
     payload = {
-        "tool": "mathemb",
-        "version": __version__,
-        "seed": table.config.seed,
+        **comment,
         "config": table.config.to_json_dict(),
         "vocab_counts": [[s, c] for s, c in zip(table.vocab.surfaces, table.vocab.counts)],
         "sampling_power": table.vocab.power,

@@ -347,10 +347,11 @@ def oracle_train(formulas, vocab, config, with_docs, dense=False):
     (input rows, context rows, formula rows or None, epoch losses).
 
     The block's output and context-member updates are added row by row with
-    np.add.at, the reference that _train must match within rounding; with
-    dense=True each block sums them with oracle_block_product, finding its
-    distinct rows itself, which _train must reproduce bit for bit.  The
-    formula rows take np.add.at either way."""
+    np.add.at, the reference that _train must match within rounding, and so
+    are the formula rows'.  With dense=True each block sums them with
+    oracle_block_product, finding its distinct rows itself, the formula rows
+    in the same product as the word rows (stacked after the pad row, as
+    _train lays them out), which _train must reproduce bit for bit."""
     from mathemb.embeddings import _BLOCK, _encode, _lay_out, _log_sigmoid, _negatives, _windows
 
     seqs = [_encode(f.tokens, vocab) for f in formulas]
@@ -381,14 +382,20 @@ def oracle_train(formulas, vocab, config, with_docs, dense=False):
         sign = np.ones(rows.shape[1])
         sign[1:] = -1.0
         loss = -(_log_sigmoid(sign * dots) * live).sum(axis=1)
-        if docs is not None:
-            np.add.at(docs, doc_rows, member_step)
         if dense:
             oracle_block_product(outputs, np.repeat(np.arange(len(rows)), rows.shape[1]), rows,
                                  g, h)
-            oracle_block_product(words, np.repeat(np.arange(len(ctx)), n_ctx), ctx[in_ctx],
-                                 None, member_step)
+            positions, ids = np.repeat(np.arange(len(ctx)), n_ctx), ctx[in_ctx]
+            if docs is None:
+                oracle_block_product(words, positions, ids, None, member_step)
+            else:
+                stacked = np.vstack((words, docs))
+                oracle_block_product(stacked, np.append(positions, np.arange(len(ctx))),
+                                     np.append(ids, pad + 1 + doc_rows), None, member_step)
+                words[:], docs[:] = stacked[:pad + 1], stacked[pad + 1:]
         else:
+            if docs is not None:
+                np.add.at(docs, doc_rows, member_step)
             np.add.at(outputs, rows, g[:, :, None] * h[:, None, :])
             np.add.at(words, ctx[in_ctx], np.repeat(member_step, n_ctx, axis=0))
         return loss

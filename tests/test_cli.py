@@ -13,17 +13,33 @@ from conftest import (
 )
 
 
+def stdin_bytes(monkeypatch, data: bytes):
+    # a text stdin over bytes, as Python opens it under a C locale, which
+    # passes undecodable bytes through as surrogates
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                                      errors="surrogateescape"))
+
+
 def test_tokenize_stdin_stdout(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("\\sin x + 1\n\\frac{a}{b}\n"))
+    stdin_bytes(monkeypatch, b"\\sin x + 1\n\\frac{a}{b}\n")
     assert main(["tokenize"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["\\sin x + 1", "\\frac { a } { b }"]
 
 
 def test_tokenize_error_is_exit_one(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("bad \\\n"))
+    stdin_bytes(monkeypatch, b"x\nbad \\\n")
     assert main(["tokenize"]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: stdin:2: lone backslash") and err.count("\n") == 1
+
+
+def test_tokenize_non_utf8_line_is_exit_one(monkeypatch, capsys):
+    stdin_bytes(monkeypatch, b"x + 1\nx \xff\n")
+    assert main(["tokenize"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "x + 1\n"
+    assert err.startswith("error: stdin:2: ") and "0xff" in err and err.count("\n") == 1
 
 
 def test_usage_errors_exit_two(capsys):
@@ -324,6 +340,14 @@ class TestPipeline:
         return main(["search", "--store", str(pipeline["store"]), "--queries", str(queries),
                      "--method", method, "--model", str(pipeline["f2v"]),
                      "--index", str(pipeline["index"]), "--out", str(out), *extra])
+
+    def test_query_id_starting_with_hash_exits_one(self, pipeline, tmp_path, capsys):
+        queries = tmp_path / "q.jsonl"
+        queries.write_text(json.dumps({"query_id": "#q1", "keywords": ["triangle"]}) + "\n")
+        assert self.search(pipeline, tmp_path / "r.run", "lm", queries=queries) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {queries}:1: query_id must not start with '#'")
+        assert err.count("\n") == 1 and not (tmp_path / "r.run").exists()
 
     def test_search_mu_defaults_to_index_mu(self, pipeline, tmp_path):
         index5 = tmp_path / "mu5.index"

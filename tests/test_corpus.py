@@ -81,6 +81,16 @@ class TestQueries:
         with pytest.raises(DuplicateQueryId):
             ingest_queries(p)
 
+    def test_query_id_starting_with_hash_rejected(self, tmp_path):
+        # run and qrels lines that start with "#" are comments, so such a
+        # query would vanish from every evaluation
+        p = tmp_path / "q.jsonl"
+        p.write_text("".join(json.dumps({"query_id": qid, "keywords": ["a"]}) + "\n"
+                             for qid in ("q1", "#q2")))
+        with pytest.raises(MalformedRecord) as info:
+            ingest_queries(p)
+        assert str(info.value).startswith(f"{p}:2: query_id must not start with '#'")
+
     def test_keywords_are_normalized(self, tmp_path):
         p = tmp_path / "q.jsonl"
         p.write_text(json.dumps(

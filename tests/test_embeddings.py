@@ -138,6 +138,33 @@ class TestSteps:
         with pytest.raises(ValueError):
             cbow_step(self.make_table(), [0], 2, [2], 0.1)
 
+    @pytest.mark.parametrize("outside", [-1, "past-the-end"])
+    @pytest.mark.parametrize("kind", ["context", "target", "negative", "formula row"])
+    def test_index_outside_the_rows_rejected_before_any_update(self, kind, outside):
+        # the row past the last word row is the zero pad slot of the stacked
+        # (input | pad | formula) rows; no index may reach it, or wrap around
+        table = self.make_table()
+        table.formula_vectors = np.ones((3, 4))
+        n = 3 if kind == "formula row" else len(table.vocab)
+        bad = n if outside == "past-the-end" else outside
+        args = {"formula row": 1, "context": [0, 1], "target": 2, "negative": [3]}
+        args[kind] = [bad] if kind in ("context", "negative") else bad
+        before = [a.copy() for a in (table.input_vectors, table.context_vectors,
+                                     table.formula_vectors)]
+        with pytest.raises(ValueError, match=f"{kind} index {bad} is outside"):
+            pvdm_step(table, args["formula row"], args["context"], args["target"],
+                      args["negative"], 0.1)
+        if kind != "formula row":
+            with pytest.raises(ValueError, match=f"{kind} index {bad} is outside"):
+                cbow_step(table, args["context"], args["target"], args["negative"], 0.1)
+        for array, old in zip((table.input_vectors, table.context_vectors,
+                               table.formula_vectors), before):
+            assert np.array_equal(array, old)
+
+    def test_pvdm_step_without_formula_rows_rejected(self):
+        with pytest.raises(ValueError, match=r"formula row index 0 is outside \[0, 0\)"):
+            pvdm_step(self.make_table(), 0, [0], 2, [3], 0.1)
+
     def test_returns_pre_update_loss(self):
         table = self.make_table()
         w = table.input_vectors.copy()
@@ -259,10 +286,14 @@ class TestKernel:
             for total, after, before in zip(deltas, (w, o, d), (words0, outputs0, docs0)):
                 total += after - before
 
-        words, outputs, docs = words0.copy(), outputs0.copy(), docs0.copy()
+        # the formula rows follow the pad row, as training lays them out, and
+        # join the context as one more member in formula mode
+        stacked, outputs = np.vstack((words0, docs0)), outputs0.copy()
+        if with_docs:
+            ctx = np.hstack((ctx, pad + 1 + doc_rows[:, None]))
         n_ctx, members, _, rows, live = _tables(ctx, targets, negatives, pad)
-        dots = _sgd(words, outputs, docs if with_docs else None, doc_rows, ctx, n_ctx, members,
-                    rows, live, lr)
+        dots = _sgd(stacked, outputs, ctx, n_ctx, members, rows, live, lr)
+        words, docs = stacked[:pad + 1], stacked[pad + 1:]
         loss = _loss(dots, live)
         np.testing.assert_allclose(loss, want_loss, rtol=0, atol=1e-12)
         for after, before, delta in zip((words, outputs, docs), (words0, outputs0, docs0), deltas):
@@ -441,15 +472,18 @@ class TestTraining:
             rng = np.random.default_rng(0)
             ctx = embeddings._windows(flat, centers, rng.integers(1, window + 1, 400), window,
                                       size)
+            # block 3 holds the second position of formulae 8 to 23, whose rows
+            # follow the word table's pad row
+            ctx = np.hstack((ctx, size + 1 + np.arange(400)[:, None] % 40))
             n_ctx, members, bounds, rows, live = _tables(
                 ctx, flat[centers], rng.integers(0, size, (400, k)), size, _BLOCK)
             words, outputs = rng.normal(size=(2, size + 1, dim))
-            docs = rng.normal(size=(40, dim))
+            words = np.vstack((words, rng.normal(size=(40, dim))))
             b = slice(bounds[3], bounds[4])
             tracemalloc.start()
             try:
-                _sgd(words, outputs, docs, np.arange(_BLOCK), ctx[b], n_ctx[b],
-                     members.block(3), rows.block(3), live[b], 0.1)
+                _sgd(words, outputs, ctx[b], n_ctx[b], members.block(3), rows.block(3), live[b],
+                     0.1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
