@@ -394,7 +394,8 @@ def _cmd_search(args) -> int:
     from .corpus import ingest_queries, load_collection
     from .embeddings import load_table
     from .retrieval import (
-        FormulaMatrix, FormulaVectorProvider, RankMethod, TextIndex, rank_pages, write_run,
+        FormulaMatrix, FormulaVectorProvider, RankMethod, TextIndex, page_rank, rank_pages,
+        write_run,
     )
 
     method = RankMethod(args.method)
@@ -419,8 +420,9 @@ def _cmd_search(args) -> int:
     if formula:
         provider = FormulaVectorProvider(load_table(args.model), infer_steps=args.steps)
         formulas = FormulaMatrix.build(coll.pages, coll, provider, queries)
-    ranked = [rank_pages(q, coll, method, provider=provider, index=index,
-                         alpha=args.alpha, mu=args.mu, formulas=formulas) for q in queries]
+    rank = page_rank([p.page_id for p in coll.pages])
+    ranked = [rank_pages(q, coll, method, provider=provider, index=index, alpha=args.alpha,
+                         mu=args.mu, formulas=formulas, rank=rank) for q in queries]
     for rl in ranked:
         if rl.no_formulae:
             print(f"warning: query {rl.query_id} has no usable formulae", file=sys.stderr)

@@ -246,18 +246,24 @@ def build_vocabulary(formulas, min_count: int = 1, power: float = 0.75) -> Vocab
 # persistence
 
 
-def _formula_record(rec) -> TokenizedFormula:
-    return TokenizedFormula(rec["id"], [SymbolToken(s, classify(s)) for s in rec["surfaces"]])
+class _StoreReader(dict):
+    """Record parser for one store read and, as a dict, its surface -> SymbolToken memo."""
 
+    def __missing__(self, surface) -> SymbolToken:
+        token = self[surface] = SymbolToken(surface, classify(surface))
+        return token
 
-def _store_record(rec) -> Page | TokenizedFormula:
-    kind = rec["kind"]
-    if kind == "page":
-        return Page(rec["page_id"], rec["title"], list(rec["text_terms"]),
-                    list(rec["formula_ids"]))
-    if kind == "formula":
-        return _formula_record(rec)
-    raise MalformedRecord(f"unknown record kind {kind!r}")
+    def formula(self, rec) -> TokenizedFormula:
+        return TokenizedFormula(rec["id"], list(map(self.__getitem__, rec["surfaces"])))
+
+    def record(self, rec) -> Page | TokenizedFormula:
+        kind = rec["kind"]
+        if kind == "page":
+            return Page(rec["page_id"], rec["title"], list(rec["text_terms"]),
+                        list(rec["formula_ids"]))
+        if kind == "formula":
+            return self.formula(rec)
+        raise MalformedRecord(f"unknown record kind {kind!r}")
 
 
 def save_collection(coll: Collection, path, meta: dict | None = None) -> None:
@@ -275,12 +281,9 @@ def save_collection(coll: Collection, path, meta: dict | None = None) -> None:
 
 
 def load_collection(path) -> Collection:
-    coll = Collection()
-    for item in artifacts.read_records(path, _store_record, CORPUS_HEADER):
-        if isinstance(item, Page):
-            coll.pages.append(item)
-        else:
-            coll.formulas[item.id] = item
+    items = artifacts.read_records(path, _StoreReader().record, CORPUS_HEADER)
+    coll = Collection([i for i in items if isinstance(i, Page)],
+                      {i.id: i for i in items if not isinstance(i, Page)})
     for p in coll.pages:
         for fid in p.formula_ids:
             if fid not in coll.formulas:
@@ -296,4 +299,4 @@ def save_training_corpus(formulas, path, meta: dict | None = None) -> None:
 
 
 def load_training_corpus(path) -> list[TokenizedFormula]:
-    return artifacts.read_records(path, _formula_record, TRAIN_HEADER)
+    return artifacts.read_records(path, _StoreReader().formula, TRAIN_HEADER)

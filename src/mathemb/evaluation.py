@@ -215,7 +215,7 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
     from .embeddings import Mode, train_formula2vec
     from .retrieval import (
         DEFAULT_ALPHA, DEFAULT_INFER_STEPS, DEFAULT_MU,
-        FormulaMatrix, FormulaVectorProvider, RankMethod, TextIndex, rank_pages,
+        FormulaMatrix, FormulaVectorProvider, RankMethod, TextIndex, page_rank, rank_pages,
     )
 
     values = list(values)
@@ -225,6 +225,7 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
     infer_steps = DEFAULT_INFER_STEPS if infer_steps is None else infer_steps
 
     vocab = build_vocabulary(train_corpus, min_count=min_count, power=power)
+    rank = page_rank([p.page_id for p in collection.pages])
 
     def formula_provider(table):
         provider = FormulaVectorProvider(table, infer_steps=infer_steps)
@@ -232,7 +233,7 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
 
     def run_dict(method, provider, formulas, index=None, alpha=DEFAULT_ALPHA):
         ranked = [rank_pages(q, collection, method, provider=provider, index=index,
-                             alpha=alpha, mu=mu, formulas=formulas) for q in queries]
+                             alpha=alpha, mu=mu, formulas=formulas, rank=rank) for q in queries]
         return {rl.query_id: list(zip(rl.ids, rl.C.tolist())) for rl in ranked}
 
     results = []

@@ -14,7 +14,7 @@ Three methods share one entry point, rank_pages:
 Ranking runs on arrays: TextIndex holds the term counts as a page-major CSR
 (the file keeps one JSON record per page), one lm_score call per query
 scores every page with one vector expression per keyword, and np.lexsort
-orders pages by (-C, page_id).
+orders pages by (-C, page_id), the ids as integer ranks (page_rank).
 
 Formula vectors come from the trained table when the formula was part of the
 training corpus and are inferred (deterministically, seeded by content)
@@ -34,6 +34,7 @@ import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, count
 
 import numpy as np
 
@@ -89,11 +90,11 @@ class TextIndex:
         pages = list(pages)
         self.mu, self.page_ids = mu, [page_id for page_id, _ in pages]
         self.page_row = {page_id: i for i, page_id in enumerate(self.page_ids)}
-        self.term_id: dict[str, int] = {}
-        self.term_ids = np.array([self.term_id.setdefault(t, len(self.term_id))
-                                  for _, tf in pages for t in tf], dtype=np.intp)
-        self.tf = np.array([c for _, tf in pages for c in tf.values()], dtype=np.int64)
-        self.offsets = np.cumsum([0] + [len(tf) for _, tf in pages])
+        terms = list(chain.from_iterable(tf for _, tf in pages))
+        self.term_id: dict[str, int] = dict(zip(dict.fromkeys(terms), count()))
+        self.term_ids = np.array(list(map(self.term_id.__getitem__, terms)), dtype=np.intp)
+        self.tf = np.array(list(chain.from_iterable(tf.values() for _, tf in pages)), np.int64)
+        self.offsets = np.cumsum([0, *(len(tf) for _, tf in pages)])
         self.entry_page = np.repeat(np.arange(len(pages)), np.diff(self.offsets))
         self.page_len = np.bincount(self.entry_page, self.tf, len(pages)).astype(np.int64)
         self.coll_tf = np.bincount(self.term_ids, self.tf, len(self.term_id)).astype(np.int64)
@@ -356,19 +357,26 @@ def _minmax(raw: np.ndarray) -> np.ndarray:
     return (raw - lo) / (hi - lo)
 
 
+def page_rank(page_ids) -> np.ndarray:
+    """Each page id's place in Python string order: rank_pages's tie-break key."""
+    return np.argsort(sorted(range(len(page_ids)), key=page_ids.__getitem__))
+
+
 def rank_pages(query: Query, collection: Collection, method: RankMethod,
                provider: FormulaVectorProvider | None = None,
                index: TextIndex | None = None,
                alpha: float = DEFAULT_ALPHA, mu: float | None = None,
-               formulas: FormulaMatrix | None = None) -> RankedList:
+               formulas: FormulaMatrix | None = None,
+               rank: np.ndarray | None = None) -> RankedList:
     """Score every page in the collection and sort descending.
 
     For single-signal methods the combined field C mirrors the active raw
     score; for COMBINED, F and T are the min-max normalized scores and
     C = (F + alpha*T)/(1+alpha) exactly.  formulas is the collection's
-    FormulaMatrix for provider; built here when not given, so a caller that
-    ranks many queries builds it once and passes it.  Pages are ordered by
-    (-C, page_id) with np.lexsort.
+    FormulaMatrix for provider, and rank the page_rank of its page ids (those
+    of collection.pages, in order); both are built here when not given, so a
+    caller that ranks many queries builds them once and passes them.  Pages
+    are ordered by (-C, page_id) with np.lexsort over (-C, rank).
 
     A query with no usable formula (none at all, or none that resolves) is
     flagged no_formulae: FORMULA2VEC returns no pages for it, and COMBINED
@@ -397,17 +405,18 @@ def rank_pages(query: Query, collection: Collection, method: RankMethod,
     else:
         F, T = _minmax(F), _minmax(lm_score(query.keywords, ids, index, mu=mu))
         C = combined_score(F, T, alpha)
-    ids = np.array(ids, dtype=object)
-    order = np.lexsort((ids, -C))
-    return RankedList(query.query_id, ids[order].tolist(), F[order], T[order], C[order],
-                      no_formulae=no_formulae)
+    order = np.lexsort((page_rank(ids) if rank is None else rank, -C))
+    return RankedList(query.query_id, list(map(ids.__getitem__, order.tolist())),
+                      F[order], T[order], C[order], no_formulae=no_formulae)
 
 
 def write_run(ranked_lists, path, tag: str = "mathemb", top: int = 1000,
               meta: dict | None = None) -> None:
-    """TREC run format: query_id Q0 page_id rank score tag.  meta keys go into
-    the comment line in order."""
-    artifacts.write(path, [f"{rl.query_id} Q0 {page_id} {rank} {c:.6f} {tag}"
-                           for rl in ranked_lists
-                           for rank, (page_id, c) in enumerate(
-                               zip(rl.ids[:top], rl.C[:top].tolist()), start=1)], meta=meta)
+    """TREC run format: query_id Q0 page_id rank score tag, one % call per ranked
+    list ("%.6f" rounds as f"{c:.6f}" does).  meta keys go into the comment line in order."""
+    body = []
+    for rl in ranked_lists:
+        fields = tuple(chain.from_iterable(zip(rl.ids[:top], count(1), rl.C[:top].tolist())))
+        line = " Q0 %s %d %.6f ".join((rl.query_id.replace("%", "%%"), tag.replace("%", "%%")))
+        body += ["\n".join([line] * (len(fields) // 3)) % fields] if fields else []
+    artifacts.write(path, body, meta=meta)

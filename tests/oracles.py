@@ -190,6 +190,26 @@ def oracle_lm_score(keywords, page_terms, collection_terms, mu):
     return score
 
 
+def oracle_text_index_arrays(pages):
+    """TextIndex's term ids and CSR arrays of (page_id, {term: count}) pairs,
+    one entry at a time: term ids in order of first appearance."""
+    term_id, term_ids, tf, offsets = {}, [], [], [0]
+    for _, counts in pages:
+        for term, count in counts.items():
+            term_ids.append(term_id.setdefault(term, len(term_id)))
+            tf.append(count)
+        offsets.append(len(tf))
+    return term_id, term_ids, tf, offsets
+
+
+def oracle_run_lines(ranked_lists, tag, top):
+    """The body lines of a TREC run file, one f-string per line."""
+    return [f"{rl.query_id} Q0 {page_id} {rank} {c:.6f} {tag}"
+            for rl in ranked_lists
+            for rank, (page_id, c) in enumerate(zip(rl.ids[:top], rl.C[:top].tolist()),
+                                                start=1)]
+
+
 # ---------------------------------------------------------------------------
 # one SGD step at a time
 

@@ -260,6 +260,10 @@ def pipeline(tmp_path_factory):
 
 class TestPipeline:
 
+    def test_lm_run_is_byte_identical_to_golden_file(self, pipeline):
+        # lm ranking reads no vectors, so its run does not depend on the BLAS build
+        assert pipeline["run_lm"].read_bytes() == (TEST_DATA / "fixture_lm.run").read_bytes()
+
     def test_artifacts_exist(self, pipeline):
         for path in pipeline.values():
             if path.suffix or path.name.endswith((".run", ".store", ".corpus",
@@ -532,10 +536,14 @@ class TestCorruptArtifacts:
     @pytest.mark.parametrize("artifact,line_no,text", [
         ("store", 3, '{"kind":"page","page_id":"x"}'),
         ("store", 3, "[1,2]"),
+        ("store", 19, '{"id":"Trig_Addition#f0","kind":"formula","surfaces":["x",5]}'),
         ("train", 3, '{"id":"x"}'),
+        ("train", 3, '{"id":"x","surfaces":["x",["y"]]}'),
+        ("train", 4, '{"id":"x","surfaces":["x",null]}'),
         ("index", 4, '{"length":'),
         ("f2v_meta", 2, "{not json"),
-    ], ids=["store-missing-field", "store-not-object", "corpus-missing-field",
+    ], ids=["store-missing-field", "store-not-object", "store-number-surface",
+            "corpus-missing-field", "corpus-list-surface", "corpus-null-surface",
             "index-not-json", "meta-not-json"])
     def test_exit_one_with_path_and_line(self, pipeline, tmp_path, capsys,
                                          artifact, line_no, text):

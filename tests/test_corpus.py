@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from mathemb.corpus import (
-    build_vocabulary, filter_corpus, ingest_pages, ingest_queries,
+    Collection, Page, build_vocabulary, filter_corpus, ingest_pages, ingest_queries,
     load_collection, load_training_corpus, normalize_text, save_collection,
     save_training_corpus,
 )
 from mathemb.errors import (
     DuplicatePageId, DuplicateQueryId, EmptyVocabulary, MalformedRecord,
 )
-from mathemb.tokenizer import TokenizedFormula, tokenize
+from mathemb.tokenizer import TokenClass, TokenizedFormula, tokenize
 
 from conftest import COLLECTION_PATH, QUERIES_PATH, TEST_DATA
 
@@ -222,6 +222,20 @@ class TestPersistence:
         for fid, f in reloaded.formulas.items():
             orig = fixture_collection.formulas[fid]
             assert [t.cls for t in f.tokens] == [t.cls for t in orig.tokens]
+
+    def test_loaded_tokens_are_tokenize_tokens_for_every_class(self, tmp_path):
+        # a store read classifies each distinct surface once and shares its
+        # token; the second formula repeats surfaces of the first
+        latexes = ["\\begin{matrix} x + 1 = ( \\alpha ) \\frac @ \\end{matrix}",
+                   "@ ) ( = 1 + x \\unknown"]
+        formulas = formulas_from(*latexes)
+        assert {t.cls for f in formulas for t in f.tokens} == set(TokenClass)
+        save_collection(Collection([Page("p", "", [], [f.id for f in formulas])],
+                                   {f.id: f for f in formulas}), tmp_path / "c.store")
+        save_training_corpus(formulas, tmp_path / "t.corpus")
+        for loaded in (list(load_collection(tmp_path / "c.store").formulas.values()),
+                       load_training_corpus(tmp_path / "t.corpus")):
+            assert [f.tokens for f in loaded] == [tokenize(tex) for tex in latexes]
 
 
 class TestNormalizeText:

@@ -222,10 +222,15 @@ class TestSteps:
                                   (c0, table.context_vectors),
                                   (d0, table.formula_vectors)):
                 implied = (before - after) / lr
-                for i, j in np.argwhere(np.abs(implied) > 1e-12):
+                for i, j in np.ndindex(implied.shape):
                     fd = central_difference(loss_at, before, i, j)
-                    rel = abs(fd - implied[i, j]) / max(abs(fd), abs(implied[i, j]), 1e-8)
-                    worst = max(worst, rel)
+                    if abs(implied[i, j]) > 1e-12:
+                        rel = abs(fd - implied[i, j]) / max(abs(fd), abs(implied[i, j]), 1e-8)
+                        worst = max(worst, rel)
+                    else:
+                        # an entry the step left unmoved: the loss must not depend on
+                        # it, or the step dropped its update
+                        assert abs(fd) < 1e-7, (trial, i, j, fd)
         assert worst < 1e-4
 
 

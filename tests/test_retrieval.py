@@ -2,24 +2,29 @@ import itertools
 import json
 import math
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mathemb import artifacts
 from mathemb.corpus import Collection, Page, Query, normalize_text
 from mathemb.errors import (
     MalformedRecord, NegativeAlpha, NoQueryFormulae, UnknownPage, ZeroVector,
 )
 from mathemb.retrieval import (
-    NO_FORMULA_FLOOR, FormulaVectorProvider, RankMethod, TextIndex, _minmax,
-    combined_score, formula_page_score, lm_score, rank_pages, write_run,
+    NO_FORMULA_FLOOR, FormulaVectorProvider, RankedList, RankMethod, TextIndex, _minmax,
+    combined_score, formula_page_score, lm_score, page_rank, rank_pages, write_run,
 )
 from mathemb.tokenizer import TokenizedFormula, tokenize
 
-from oracles import oracle_lm_score, oracle_page_score
+from oracles import (
+    oracle_lm_score, oracle_page_score, oracle_run_lines, oracle_text_index_arrays,
+)
 
 
 class StubProvider:
@@ -59,6 +64,15 @@ def make_query(vecs):
     return Query("q", ["w0"], formulae), mapping
 
 
+# query ids, page ids and tags: % directives, format braces, non-ASCII text
+RUN_TEXT = st.one_of(st.sampled_from(["%", "%s", "%%", "{}", "%d%", "%(q)s", "é∑", "q1"]),
+                     st.text(st.characters(exclude_categories=("Cs",)), max_size=6))
+# -0.0, halfway cases at the 6th decimal, non-finite and arbitrary floats
+SCORES = st.one_of(st.sampled_from([-0.0, 0.0, 5e-7, -5e-7, 2.5e-6, 1.0000005, 0.1234565,
+                                    -1.0, 1e300, math.inf, -math.inf, math.nan]),
+                   st.floats())
+
+
 class TestTextIndex:
     def test_invariants_on_fixture(self, fixture_collection, fixture_index):
         idx = fixture_index
@@ -72,6 +86,17 @@ class TestTextIndex:
         every_term = Counter(t for p in fixture_collection.pages for t in p.text_terms)
         assert {term: int(idx.coll_tf[i]) for term, i in idx.term_id.items()} == every_term
         assert idx.coll_len == sum(idx.page_len) == sum(every_term.values())
+
+    @given(st.lists(st.dictionaries(st.sampled_from(["a", "b", "c", "d", "\x00", "é"]),
+                                    st.integers(1, 5)), max_size=6))
+    def test_arrays_match_entry_at_a_time_oracle(self, counts):
+        pages = [(f"p{i}", tf) for i, tf in enumerate(counts)]
+        idx = TextIndex(pages)
+        term_id, term_ids, tf, offsets = oracle_text_index_arrays(pages)
+        assert list(idx.term_id.items()) == list(term_id.items())
+        assert idx.term_ids.tolist() == term_ids and idx.tf.tolist() == tf
+        assert idx.offsets.tolist() == offsets
+        assert idx.term_ids.dtype == np.intp and idx.tf.dtype == np.int64
 
     def test_mu_positive_required(self, fixture_collection):
         for mu in (0.0, -1.0, math.nan, math.inf):
@@ -363,6 +388,22 @@ class TestRankPages:
             assert sorted(rl.ids) == sorted(p.page_id for p in coll.pages)
             assert any(a.C == b.C for a, b in zip(rl.entries, rl.entries[1:]))
 
+    @pytest.mark.parametrize("method", list(RankMethod), ids=lambda m: m.value)
+    def test_ties_rank_in_python_string_order(self, method):
+        # a numpy "<U" array drops trailing NULs, so there "a\x00" == "a"
+        ids = ["é", "a0", "a\x00", "B", "a"]
+        coll, mapping = Collection(), {}
+        for pid in ids:
+            coll.formulas[f"{pid}#f0"] = TokenizedFormula(f"{pid}#f0", tokenize("x + y = z"))
+            coll.pages.append(Page(pid, pid, ["w0", "v"], [f"{pid}#f0"]))
+            mapping[f"{pid}#f0"] = unit_at(0.5)
+        query, qmap = make_query([unit_at(0.9)])
+        for rank in (None, page_rank(ids)):
+            rl = rank_pages(query, coll, method, provider=StubProvider({**mapping, **qmap}),
+                            index=TextIndex.build(coll), rank=rank)
+            assert len(set(rl.C.tolist())) == 1
+            assert rl.ids == sorted(ids) == ["B", "a", "a\x00", "a0", "é"]
+
     def test_combined_invariant_exact(self, fixture_collection, fixture_queries,
                                       fixture_index, provider):
         alpha = 4.0
@@ -459,3 +500,17 @@ class TestRunFile:
         qid, q0, pid, rank, score, tag = body[0].split()
         assert (qid, q0, rank, tag) == ("q1", "Q0", "1", "t1")
         float(score)
+
+    @given(st.lists(st.lists(st.tuples(RUN_TEXT, SCORES), max_size=5), max_size=4),
+           st.lists(RUN_TEXT, min_size=4, max_size=4), RUN_TEXT, st.integers(-1, 7))
+    def test_bytes_match_one_f_string_per_line(self, lists, query_ids, tag, top):
+        ranked = [RankedList(qid, [pid for pid, _ in entries], np.zeros(len(entries)),
+                             np.zeros(len(entries)), np.array([c for _, c in entries]),
+                             no_formulae=not entries)
+                  for qid, entries in zip(query_ids, lists)]
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.run", Path(tmp) / "want.run"
+            write_run(ranked, got, tag=tag, top=top, meta={"seed": 1})
+            artifacts.write(want, oracle_run_lines(ranked, tag, top), meta={"seed": 1})
+            assert got.read_bytes() == want.read_bytes()
+
