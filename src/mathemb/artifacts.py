@@ -8,9 +8,10 @@ An artifact is UTF-8 text with "\\n" line endings:
 
 The meta comment writes its keys in the order of the mapping it is given,
 so a caller that wants them sorted passes them sorted.  Readers check the
-header, skip blank lines and "#" lines, and report every defect, a line
-that is not UTF-8 among them, as MalformedRecord with "path:line: message",
-which the CLI turns into a one-line diagnostic and exit code 1.
+header, skip blank lines and "#" lines (a vector file's only before its
+count line), and report every defect, a non-UTF-8 line among them, as
+MalformedRecord with "path:line: message", which the CLI turns into a
+one-line diagnostic and exit code 1.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def read_vectors(path, header: str | None = None):
 
     Raises MalformedRecord, naming the file and line, on a wrong header, a
     bad count line, a row whose width differs from the count line, an entry
-    that is not a finite number, or fewer rows than the count line promises.
+    that is not a finite number, or a row count other than the count line's.
     """
     lines = [ln.rstrip("\n") for _, ln in read_lines(path)]
     pos = 0
@@ -166,4 +167,7 @@ def read_vectors(path, header: str | None = None):
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if len(bad):
         raise MalformedRecord(f"{path}:{pos + 2 + bad[0]}: entry is not finite")
+    for i in range(pos + 1 + n, len(lines)):
+        if lines[i].strip():
+            raise MalformedRecord(f"{path}:{i + 1}: count line promises {n} rows, file has more")
     return labels, rows

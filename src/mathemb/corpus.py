@@ -249,6 +249,10 @@ def build_vocabulary(formulas, min_count: int = 1, power: float = 0.75) -> Vocab
 class _StoreReader(dict):
     """Record parser for one store read and, as a dict, its surface -> SymbolToken memo."""
 
+    def __init__(self):
+        super().__init__()
+        self.page_ids: set[str] = set()
+
     def __missing__(self, surface) -> SymbolToken:
         token = self[surface] = SymbolToken(surface, classify(surface))
         return token
@@ -259,6 +263,9 @@ class _StoreReader(dict):
     def record(self, rec) -> Page | TokenizedFormula:
         kind = rec["kind"]
         if kind == "page":
+            if rec["page_id"] in self.page_ids:
+                raise DuplicatePageId(f"duplicate page_id {rec['page_id']!r}")
+            self.page_ids.add(rec["page_id"])
             return Page(rec["page_id"], rec["title"], list(rec["text_terms"]),
                         list(rec["formula_ids"]))
         if kind == "formula":

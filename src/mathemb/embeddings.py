@@ -42,9 +42,9 @@ vector alone.  Formulae are therefore independent, and a batch of them runs
 in lockstep, one position of each per step, while every formula draws its
 initialization, widths and negatives up front from its own seeded generator.
 What depends only on those draws and the frozen rows (each draw's output
-rows, each context window's size and the sum of its word rows) is laid out
-once per block, so a step gathers its window sums and updates the formula
-vectors, nothing more.
+rows in one (step x formula) grid, and the size and word-row sum of the
+window of every (position, width)) is laid out once per block, so a step
+gathers its window sums and updates the formula vectors, nothing more.
 """
 
 from __future__ import annotations
@@ -465,17 +465,17 @@ def train_formula2vec(formulas, vocab: Vocabulary, config: TrainingConfig) -> Em
 # step per position of its longest formula per pass, so fewer blocks mean
 # fewer steps; its tables set the size.  Per formula of 9 tokens at dim 50,
 # window 5, 5 negatives and 50 steps they hold
-#   window sums (44 distinct windows x 50 floats)       17,600 bytes
-#   window member counts (44)                               352
-#   each (position, width)'s window (9 x 5)                 360
+#   window sums (45 (position, width) rows x 50 floats)   18,000 bytes
+#   window member counts (45)                               360
 #   each draw's window (450 draws, int32)                 1,800
 #   each draw's output rows (450 x 6, int32)             10,800
 #   the formula vector                                      400
-# 31,312 bytes in all, so 256 formulae keep 7.6 MiB, within a budget of
-# 8 MiB.  The window table the sums come from (3,520 bytes a formula) lives
-# only while they are built, and a step's temporaries add about 5,000 bytes
-# a formula (tracemalloc peak of one such block: 9.4 MB).  However many
-# formulae one call infers, memory stays that of one block.
+# 31,360 bytes in all, so 256 formulae keep 7.66 MiB, within a budget of
+# 8 MiB; the draw grid pads a shorter formula to the block's longest.  The
+# window table the sums come from (3,600 bytes a formula) lives only while
+# they are built, and a step's temporaries add about 5,000 bytes a formula
+# (tracemalloc peak of one such block: 8.9 MiB).  However many formulae
+# one call infers, memory stays that of one block.
 _INFER_BLOCK = 256
 
 
@@ -519,68 +519,53 @@ def infer_vectors(token_lists, table: EmbeddingTable, seeds, steps: int = 50,
 
 
 def _window_sums(words, seqs, window: int, pad: int):
-    """Every distinct context window of the sequences.  A window of width
-    b >= 2 that reaches past both ends of its sequence holds the same
-    tokens as width b - 1, so it gets no row of its own.  Returns row_of,
-    where row_of[p, b - 1] is the row of the width-b window around the p-th
-    position (positions in _lay_out's order, sequence by sequence), and each
-    row's token count and sum of word rows, the same sum
-    words[ctx].sum(axis=1) gives.  The gather runs one sequence at a time,
-    so its (rows, 2 * window, dim) temporary stays one sequence's size, and
-    the window table is freed on return."""
-    lens = np.array([len(seq) for seq in seqs])
+    """Token count and sum of word rows (the sum words[ctx].sum(axis=1)
+    gives) of every context window of the sequences, row p * window + b - 1
+    being the width-b window around the p-th position, sequence by sequence.
+    The gather runs one sequence at a time, so its (rows, 2 * window, dim)
+    temporary stays one sequence's size."""
     flat, _ = _lay_out(seqs, window, pad)
     centers = np.flatnonzero(flat != pad)
-    # a position's widths up to its farthest token in the sequence are distinct
-    at = np.arange(len(centers)) - np.repeat(np.cumsum(lens) - lens, lens)
-    kept = np.clip(np.maximum(at, np.repeat(lens, lens) - 1 - at), 1, window)
-    starts = np.cumsum(kept) - kept
-    row_of = starts[:, None] + np.minimum(np.arange(window), kept[:, None] - 1)
-    contexts = _windows(flat, np.repeat(centers, kept),
-                        np.arange(starts[-1] + kept[-1]) - np.repeat(starts, kept) + 1,
-                        window, pad)
+    contexts = _windows(flat, np.repeat(centers, window),
+                        np.tile(np.arange(1, window + 1), len(centers)), window, pad)
     sums = np.empty((len(contexts), words.shape[1]))
-    ends = np.append(starts[np.cumsum(lens) - lens], len(contexts))
+    ends = np.cumsum([0, *(len(seq) * window for seq in seqs)])
     for start, stop in zip(ends[:-1], ends[1:]):
         sums[start:stop] = words[contexts[start:stop]].sum(axis=1)
-    return row_of, np.count_nonzero(contexts != pad, axis=1), sums
+    return np.count_nonzero(contexts != pad, axis=1), sums
 
 
 def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs,
                  steps: int, lr: float) -> np.ndarray:
     """Lockstep inference of non-empty sequences sorted by length, longest
-    first.  Every context window's sum of word rows and every draw's rows
-    are laid out before the step loop, which updates the formula vectors
-    alone."""
+    first.  The window sums and every draw's rows are laid out before the
+    step loop, which updates the formula vectors alone: formula i's s-th
+    draw is cell [s, i] of one (step x formula) grid, step s reads row s up
+    to the formulae still running, and no cell past a formula's last draw
+    is read."""
     config = table.config
     dim, window, pad = config.dim, config.window, len(table.vocab)
     lens = np.array([len(seq) for seq in seqs])
-    row_of, members, sums = _window_sums(words, seqs, window, pad)
+    members, sums = _window_sums(words, seqs, window, pad)
     members += 1                            # the formula row joins every window
-    firsts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-
+    firsts = np.cumsum(lens) - lens
     n_steps = steps * lens
-    # draws are step-major: step s's are rows bounds[s]:bounds[s + 1], one
-    # per formula still running, in block order
-    running = np.searchsorted(-n_steps, -np.arange(n_steps[0]))
-    bounds = np.concatenate(([0], np.cumsum(running)))
     vecs = np.empty((len(seqs), dim))
-    ctx_rows = np.empty(bounds[-1], dtype=np.int32)
-    out_rows = np.empty((bounds[-1], config.negatives + 1), dtype=np.int32)
+    ctx_rows = np.empty((n_steps[0], len(seqs)), dtype=np.int32)
+    out_rows = np.empty((n_steps[0], len(seqs), config.negatives + 1), dtype=np.int32)
     for i, (seq, seed) in enumerate(zip(seqs, seeds)):
-        rng = np.random.default_rng(seed)
-        mine = bounds[:n_steps[i]] + i
+        rng, n = np.random.default_rng(seed), n_steps[i]
         vecs[i] = rng.uniform(-0.5 / dim, 0.5 / dim, dim)
         positions = np.tile(np.arange(firsts[i], firsts[i] + lens[i]), steps)
-        ctx_rows[mine] = row_of[positions, rng.integers(1, window + 1, n_steps[i]) - 1]
-        out_rows[mine, 0] = targets = np.tile(seq, steps)
-        out_rows[mine, 1:] = _negatives(table.vocab, rng, targets, config.negatives, pad)
+        ctx_rows[:n, i] = positions * window + rng.integers(1, window + 1, n) - 1
+        out_rows[:n, i, 0] = targets = np.tile(seq, steps)
+        out_rows[:n, i, 1:] = _negatives(table.vocab, rng, targets, config.negatives, pad)
 
     lr_end = min(lr, config.lr_end)
     totals = np.maximum(1, n_steps - 1)
-    for step, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        active = stop - start
-        ctx, out = ctx_rows[start:stop], out_rows[start:stop]
+    running = np.searchsorted(-n_steps, -np.arange(n_steps[0]))
+    for step, active in enumerate(running):
+        ctx, out = ctx_rows[step, :active], out_rows[step, :active]
         n_members = members[ctx]
         h = sums[ctx]
         h += vecs[:active]

@@ -44,6 +44,7 @@ from .corpus import Collection, Page, Query
 from .embeddings import EmbeddingTable, Mode, infer_vectors
 from .errors import (
     DimensionMismatch,
+    DuplicatePageId,
     MalformedRecord,
     NegativeAlpha,
     NoQueryFormulae,
@@ -131,6 +132,8 @@ class TextIndex:
                     raise MalformedRecord(f"mu must be > 0 and finite, got {stats['mu']}")
                 return
             page_id, tf, length = rec["page_id"], dict(rec["tf"]), int(rec["length"])
+            if page_id in pages:
+                raise DuplicatePageId(f"duplicate page_id {page_id!r}")
             if not all(type(c) is int and c > 0 for c in tf.values()):
                 raise MalformedRecord(f"page {page_id!r} has a count that is not an integer > 0")
             if length != sum(tf.values()):

@@ -570,6 +570,24 @@ class TestCorruptArtifacts:
         assert err.startswith(f"error: {paths[artifact]}:{line_no}: "), err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("artifact", ["store", "index"])
+    def test_search_rejects_a_repeated_page_record(self, pipeline, tmp_path, capsys, artifact):
+        # the first page record written again right after itself
+        work = tmp_path / "pipeline"
+        shutil.copytree(pipeline["store"].parent, work)
+        paths = {name: work / pipeline[name].name for name in ("store", "index")}
+        lines = paths[artifact].read_text().splitlines()
+        first = next(i for i, ln in enumerate(lines) if '"page_id":' in ln)
+        lines.insert(first + 1, lines[first])
+        paths[artifact].write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.run"
+        capsys.readouterr()
+        assert main(["search", "--store", str(paths["store"]), "--queries", str(QUERIES_PATH),
+                     "--method", "lm", "--index", str(paths["index"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[artifact]}:{first + 2}: duplicate page_id "), err
+        assert err.count("\n") == 1 and not out.exists()
+
     @pytest.mark.parametrize("reader", ["collection", "stopwords", "run", "qrels", "vectors"])
     def test_non_utf8_line_exits_one_with_path_and_line(self, pipeline, tmp_path, capsys,
                                                         reader):

@@ -205,6 +205,17 @@ class TestPersistence:
         with pytest.raises(MalformedRecord):
             load_collection(p)
 
+    def test_repeated_page_record_rejected_with_line(self, fixture_collection, tmp_path):
+        # the store's first page record written again right after itself
+        p = tmp_path / "store.txt"
+        save_collection(fixture_collection, p)
+        lines = p.read_text().splitlines()
+        lines.insert(2, lines[1])
+        p.write_text("\n".join(lines) + "\n")
+        page_id = fixture_collection.pages[0].page_id
+        with pytest.raises(DuplicatePageId, match=f"store.txt:3: duplicate page_id '{page_id}'"):
+            load_collection(p)
+
     def test_training_corpus_round_trip(self, fixture_train_corpus, tmp_path):
         p1 = tmp_path / "t1.txt"
         p2 = tmp_path / "t2.txt"

@@ -6,7 +6,7 @@ import pytest
 from mathemb.analysis import cosine
 from mathemb.corpus import build_vocabulary
 from mathemb.cli import main
-from mathemb import embeddings
+from mathemb import artifacts, embeddings
 from mathemb.embeddings import (
     _BLOCK, _INFER_BLOCK, EmbeddingTable, Mode, TrainingConfig, _gradient, _loss, _negatives,
     _sgd, _tables, cbow_step, infer_vector, infer_vectors, load_table, nce_loss, pvdm_step,
@@ -652,25 +652,21 @@ class TestInference:
         pad, window = 30, 5
         words = np.vstack((rng.normal(size=(pad, dim)), np.zeros((1, dim))))
         seqs = [rng.integers(0, pad, size) for size in (1, 4, 9, 13)]
-        # a width reaching past both ends of the sequence shares the narrower
-        # width's row, and every row serves some (position, width)
-        row_of, n_ctx, sums = embeddings._window_sums(words, seqs, window, pad)
+        # row q * window + width - 1 is the width-wide window around the q-th
+        # position, and there is one row per (position, width)
+        n_ctx, sums = embeddings._window_sums(words, seqs, window, pad)
         offsets = [*range(-window, 0), *range(1, window + 1)]
         q = 0
         for seq in seqs:
             for p in range(len(seq)):
-                windows = {}
                 for width in range(1, window + 1):
                     slots = [seq[p + o] if abs(o) <= width and 0 <= p + o < len(seq) else pad
                              for o in offsets]
-                    row = row_of[q, width - 1]
+                    row = q * window + width - 1
                     assert n_ctx[row] == sum(slot != pad for slot in slots)
                     assert np.array_equal(sums[row], words[np.array([slots])].sum(axis=1)[0])
-                    windows.setdefault(tuple(slots), set()).add(row)
-                assert all(len(rows) == 1 for rows in windows.values())
-                assert len(set(row_of[q])) == len(windows)
                 q += 1
-        assert q == len(row_of) and set(row_of.ravel()) == set(range(len(sums)))
+        assert len(sums) == len(n_ctx) == q * window
 
     def test_one_block_runs_steps_times_its_longest_formula(self, trained_formula_table,
                                                            fixture_collection, monkeypatch):
@@ -713,6 +709,33 @@ class TestInference:
                 tracemalloc.stop()
 
         assert peak(four) <= 1.25 * peak(longest)
+
+    def test_block_peak_is_within_the_budget(self):
+        # the _INFER_BLOCK budget: one block of 9-token formulae at dim 50,
+        # window 5, 5 negatives and 50 steps peaks below 11 MiB, and a
+        # block of shorter formulae, padded to its longest, peaks no higher
+        import tracemalloc
+        from mathemb.corpus import Vocabulary
+
+        rng = np.random.default_rng(0)
+        vocab = Vocabulary([f"s{i}" for i in range(40)], list(range(40, 0, -1)), 0.75)
+        config = TrainingConfig(dim=50, window=5, negatives=5, mode=Mode.FORMULA2VEC)
+        table = EmbeddingTable(config, vocab, rng.normal(size=(40, 50)),
+                               rng.normal(size=(40, 50)), rng.normal(size=(1, 50)), ["f0"])
+        tokens = [SymbolToken(s, TokenClass.VARIABLE) for s in vocab.surfaces]
+
+        def peak(lens):
+            toks = [[tokens[(i + j) % 40] for j in range(size)] for i, size in enumerate(lens)]
+            tracemalloc.start()
+            try:
+                infer_vectors(toks, table, range(len(toks)), steps=50)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        longest = peak([9] * _INFER_BLOCK)
+        assert longest < 11 * 2 ** 20
+        assert peak([9] + [1 + i % 9 for i in range(_INFER_BLOCK - 1)]) <= longest
 
     def test_all_oov_formula_in_a_batch_is_none(self, trained_formula_table):
         got = infer_vectors([tokenize("\\nosuch"), tokenize("a + b")],
@@ -806,6 +829,32 @@ class TestPersistence:
             load_table(prefix)
         assert main(["neighbors", "--model", str(prefix), "--symbol", "a"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ext,extra", [(".wv.txt", "junk 1 2 3"), (".dv.txt", None)],
+                             ids=["wv-junk-line", "dv-one-row-more"])
+    def test_surplus_row_rejected_with_line(self, trained_formula_table, tmp_path, capsys,
+                                            ext, extra):
+        # a row past the count line's, after a blank line, is named; None
+        # repeats the last row
+        prefix = tmp_path / "model"
+        save_table(trained_formula_table, prefix)
+        path = tmp_path / f"model{ext}"
+        lines = path.read_text().splitlines()
+        lines += ["", extra or lines[-1]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord, match=f"model{ext}:{len(lines)}: count line"):
+            load_table(prefix)
+        capsys.readouterr()
+        assert main(["neighbors", "--model", str(prefix), "--symbol", "a"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:{len(lines)}: ")
+
+    def test_rows_labelled_with_a_hash_are_rows(self, tmp_path):
+        # "#" is a token surface, so only the lines before the count line
+        # are comments
+        path = tmp_path / "v.txt"
+        artifacts.write_vectors(path, ["#", "a", "#b"], np.eye(3), meta={"seed": 1})
+        labels, rows = artifacts.read_vectors(path)
+        assert labels == ["#", "a", "#b"] and np.array_equal(rows, np.eye(3))
 
     def test_docvec_dim_must_match_word_vectors(self, trained_formula_table, tmp_path):
         prefix = tmp_path / "model"

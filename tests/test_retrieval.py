@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mathemb import artifacts
 from mathemb.corpus import Collection, Page, Query, normalize_text
 from mathemb.errors import (
-    MalformedRecord, NegativeAlpha, NoQueryFormulae, UnknownPage, ZeroVector,
+    DuplicatePageId, MalformedRecord, NegativeAlpha, NoQueryFormulae, UnknownPage, ZeroVector,
 )
 from mathemb.retrieval import (
     NO_FORMULA_FLOOR, FormulaVectorProvider, RankedList, RankMethod, TextIndex, _minmax,
@@ -132,6 +132,17 @@ class TestTextIndex:
         lines[line_no] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedRecord, match=match):
+            TextIndex.load(p)
+
+    def test_repeated_page_record_rejected_with_line(self, fixture_index, tmp_path):
+        # the first page record (line 3) written again at the end
+        p = tmp_path / "i.txt"
+        fixture_index.save(p)
+        lines = p.read_text().splitlines()
+        lines.append(lines[2])
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DuplicatePageId, match=f"i.txt:{len(lines)}: duplicate page_id "
+                                                  f"'{fixture_index.page_ids[0]}'"):
             TextIndex.load(p)
 
 
