@@ -136,7 +136,8 @@ def read_vectors(path, header: str | None = None):
 
     Raises MalformedRecord, naming the file and line, on a wrong header, a
     bad count line, a row whose width differs from the count line, an entry
-    that is not a finite number, or a row count other than the count line's.
+    that is not a finite number, a label an earlier row has, or a row count
+    other than the count line's.
     """
     lines = [ln.rstrip("\n") for _, ln in read_lines(path)]
     pos = 0
@@ -153,7 +154,7 @@ def read_vectors(path, header: str | None = None):
     if len(lines) - pos - 1 < n:
         raise MalformedRecord(f"{path}:{len(lines)}: count line promises {n} rows, file has "
                               f"{len(lines) - pos - 1}")
-    labels, rows = [], np.empty((n, dim))
+    labels, rows = {}, np.empty((n, dim))
     for i in range(n):
         lineno = pos + 2 + i
         parts = lines[lineno - 1].split(" ")
@@ -163,11 +164,13 @@ def read_vectors(path, header: str | None = None):
             rows[i] = [float(x) for x in parts[1:]]
         except ValueError:
             raise MalformedRecord(f"{path}:{lineno}: entry is not a number") from None
-        labels.append(parts[0])
+        if parts[0] in labels:
+            raise MalformedRecord(f"{path}:{lineno}: duplicate label {parts[0]!r}")
+        labels[parts[0]] = None
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if len(bad):
         raise MalformedRecord(f"{path}:{pos + 2 + bad[0]}: entry is not finite")
     for i in range(pos + 1 + n, len(lines)):
         if lines[i].strip():
             raise MalformedRecord(f"{path}:{i + 1}: count line promises {n} rows, file has more")
-    return labels, rows
+    return list(labels), rows

@@ -393,10 +393,7 @@ def _cmd_index_text(args) -> int:
 def _cmd_search(args) -> int:
     from .corpus import ingest_queries, load_collection
     from .embeddings import load_table
-    from .retrieval import (
-        FormulaMatrix, FormulaVectorProvider, RankMethod, TextIndex, page_rank, rank_pages,
-        write_run,
-    )
+    from .retrieval import FormulaVectorProvider, RankMethod, TextIndex, rank_queries, write_run
 
     method = RankMethod(args.method)
     text, formula = method is not RankMethod.FORMULA2VEC, method is not RankMethod.LM
@@ -406,7 +403,7 @@ def _cmd_search(args) -> int:
         raise ValueError(f"--model is required for method {method.value}")
     coll = load_collection(args.store)
     queries = ingest_queries(args.queries)
-    provider = formulas = index = None
+    provider = index = None
     if text:
         index = TextIndex.load(args.index)
         pages, indexed = {p.page_id for p in coll.pages}, set(index.page_ids)
@@ -419,10 +416,7 @@ def _cmd_search(args) -> int:
             args.mu = index.mu
     if formula:
         provider = FormulaVectorProvider(load_table(args.model), infer_steps=args.steps)
-        formulas = FormulaMatrix.build(coll.pages, coll, provider, queries)
-    rank = page_rank([p.page_id for p in coll.pages])
-    ranked = [rank_pages(q, coll, method, provider=provider, index=index, alpha=args.alpha,
-                         mu=args.mu, formulas=formulas, rank=rank) for q in queries]
+    ranked = rank_queries(queries, coll, method, provider, index, args.alpha, args.mu)
     for rl in ranked:
         if rl.no_formulae:
             print(f"warning: query {rl.query_id} has no usable formulae", file=sys.stderr)

@@ -252,12 +252,16 @@ class _StoreReader(dict):
     def __init__(self):
         super().__init__()
         self.page_ids: set[str] = set()
+        self.formula_ids: set[str] = set()
 
     def __missing__(self, surface) -> SymbolToken:
         token = self[surface] = SymbolToken(surface, classify(surface))
         return token
 
     def formula(self, rec) -> TokenizedFormula:
+        if rec["id"] in self.formula_ids:
+            raise MalformedRecord(f"duplicate formula id {rec['id']!r}")
+        self.formula_ids.add(rec["id"])
         return TokenizedFormula(rec["id"], list(map(self.__getitem__, rec["surfaces"])))
 
     def record(self, rec) -> Page | TokenizedFormula:

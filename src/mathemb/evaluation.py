@@ -215,7 +215,7 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
     from .embeddings import Mode, train_formula2vec
     from .retrieval import (
         DEFAULT_ALPHA, DEFAULT_INFER_STEPS, DEFAULT_MU,
-        FormulaMatrix, FormulaVectorProvider, RankMethod, TextIndex, page_rank, rank_pages,
+        FormulaVectorProvider, RankMethod, TextIndex, rank_queries,
     )
 
     values = list(values)
@@ -225,15 +225,9 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
     infer_steps = DEFAULT_INFER_STEPS if infer_steps is None else infer_steps
 
     vocab = build_vocabulary(train_corpus, min_count=min_count, power=power)
-    rank = page_rank([p.page_id for p in collection.pages])
 
-    def formula_provider(table):
-        provider = FormulaVectorProvider(table, infer_steps=infer_steps)
-        return provider, FormulaMatrix.build(collection.pages, collection, provider, queries)
-
-    def run_dict(method, provider, formulas, index=None, alpha=DEFAULT_ALPHA):
-        ranked = [rank_pages(q, collection, method, provider=provider, index=index,
-                             alpha=alpha, mu=mu, formulas=formulas, rank=rank) for q in queries]
+    def run_dict(method, provider, index=None, alpha=DEFAULT_ALPHA):
+        ranked = rank_queries(queries, collection, method, provider, index, alpha, mu)
         return {rl.query_id: list(zip(rl.ids, rl.C.tolist())) for rl in ranked}
 
     results = []
@@ -241,16 +235,16 @@ def sweep(axis: SweepAxis, values, *, collection, queries, train_corpus, qrels,
         for v in values:
             cfg = replace(config, dim=int(v), mode=Mode.FORMULA2VEC)
             table = train_formula2vec(train_corpus, vocab, cfg)
-            provider, formulas = formula_provider(table)
-            run = run_dict(RankMethod.FORMULA2VEC, provider, formulas)
+            run = run_dict(RankMethod.FORMULA2VEC,
+                           FormulaVectorProvider(table, infer_steps=infer_steps))
             results.append((float(v), evaluate_core(run, qrels, ks, threshold)))
     elif axis is SweepAxis.ALPHA:
         cfg = replace(config, mode=Mode.FORMULA2VEC)
         table = train_formula2vec(train_corpus, vocab, cfg)
-        provider, formulas = formula_provider(table)
+        provider = FormulaVectorProvider(table, infer_steps=infer_steps)
         index = TextIndex.build(collection, mu)
         for v in values:
-            run = run_dict(RankMethod.COMBINED, provider, formulas, index, float(v))
+            run = run_dict(RankMethod.COMBINED, provider, index, float(v))
             results.append((float(v), evaluate_core(run, qrels, ks, threshold)))
     else:
         raise ValueError(f"unknown sweep axis {axis!r}")

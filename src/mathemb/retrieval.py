@@ -1,6 +1,6 @@
 """Page ranking for mixed keyword+formula queries.
 
-Three methods share one entry point, rank_pages:
+Three methods share one entry point, rank_queries:
 
   * formula2vec: every query formula is matched against every page formula by
     cosine of their vectors; a page scores the mean over its formulae, and the
@@ -19,12 +19,13 @@ orders pages by (-C, page_id), the ids as integer ranks (page_rank).
 Formula vectors come from the trained table when the formula was part of the
 training corpus and are inferred (deterministically, seeded by content)
 otherwise, so unfiltered page formulae and unseen query formulae still match.
-A search resolves each formula once: FormulaVectorProvider infers all unseen
-contents of a batch together and memoises them, and FormulaMatrix holds a
-collection's page formulae as one matrix of L2-normalised distinct rows with
-page segments.  A query then scores every page at once: the cosines of the
-distinct rows with the query vectors (one matrix product), gathered per page
-formula, summed per page segment (np.add.reduceat) and averaged.
+A search ranks all its queries in one rank_queries call, which resolves each
+formula once: FormulaVectorProvider resolves every page and query formula in
+one batch, inferring the unseen contents together and memoising them, and
+FormulaMatrix holds the page formulae as one matrix of L2-normalised distinct
+rows with page segments.  A query then scores every page at once: the cosines
+of the distinct rows with the query vectors (one matrix product), gathered per
+page formula, summed per page segment (np.add.reduceat) and averaged.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, count
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -230,11 +231,6 @@ class FormulaVectorProvider:
         return self.vectors_for([formula])[0]
 
 
-def _query_vectors(query: Query, provider) -> list[np.ndarray]:
-    """Vectors of the query formulae that resolve; the others drop out."""
-    return [v for v in provider.vectors_for(query.formulae) if v is not None]
-
-
 @dataclass
 class FormulaMatrix:
     """Page formulae resolved once, for scoring many queries with matrix products.
@@ -254,18 +250,10 @@ class FormulaMatrix:
     scored: np.ndarray
 
     @classmethod
-    def build(cls, pages, collection: Collection, provider, queries=()) -> "FormulaMatrix":
-        """Resolve every formula of the pages through provider (any object
-        with vectors_for, such as a FormulaVectorProvider, which infers the
-        unseen ones in one batch).  Page formulae that do not resolve drop out.
-
-        The formulae of queries join the same batch, so a provider infers
-        every unseen formula of a search at once and memoises them for
-        rank_pages."""
+    def build(cls, pages, vectors) -> "FormulaMatrix":
+        """The matrix of pages whose formulae, in page order, resolved to
+        vectors (None where one did not; it drops out)."""
         pages = list(pages)
-        formulae = [collection.formulas[fid] for p in pages for fid in p.formula_ids]
-        vectors = provider.vectors_for(formulae + [f for q in queries for f in q.formulae])
-        vectors = vectors[:len(formulae)]
         resolved = [vec is not None for vec in vectors]
         page_of = np.repeat(np.arange(len(pages)), [len(p.formula_ids) for p in pages])
         scored, starts, counts = np.unique(page_of[resolved], return_index=True,
@@ -310,10 +298,11 @@ def formula_page_score(query: Query, page: Page, provider,
     """
     if not query.formulae:
         raise NoQueryFormulae(query.query_id)
-    query_vectors = _query_vectors(query, provider)
-    if not query_vectors:
+    ranked = rank_queries([query], Collection([page], collection.formulas),
+                          RankMethod.FORMULA2VEC, provider)[0]
+    if ranked.no_formulae:
         raise UnknownTokensOnly(f"no formula of query {query.query_id} has a known token")
-    return float(FormulaMatrix.build([page], collection, provider).scores(query_vectors)[0])
+    return float(ranked.F[0])
 
 
 def combined_score(f_norm, t_norm, alpha: float):
@@ -361,25 +350,22 @@ def _minmax(raw: np.ndarray) -> np.ndarray:
 
 
 def page_rank(page_ids) -> np.ndarray:
-    """Each page id's place in Python string order: rank_pages's tie-break key."""
+    """Each page id's place in Python string order: the ranking's tie-break key."""
     return np.argsort(sorted(range(len(page_ids)), key=page_ids.__getitem__))
 
 
-def rank_pages(query: Query, collection: Collection, method: RankMethod,
-               provider: FormulaVectorProvider | None = None,
-               index: TextIndex | None = None,
-               alpha: float = DEFAULT_ALPHA, mu: float | None = None,
-               formulas: FormulaMatrix | None = None,
-               rank: np.ndarray | None = None) -> RankedList:
-    """Score every page in the collection and sort descending.
+def rank_queries(queries, collection: Collection, method: RankMethod,
+                 provider: FormulaVectorProvider | None = None,
+                 index: TextIndex | None = None,
+                 alpha: float = DEFAULT_ALPHA, mu: float | None = None) -> list[RankedList]:
+    """Score every page in the collection for each query and sort descending.
 
     For single-signal methods the combined field C mirrors the active raw
     score; for COMBINED, F and T are the min-max normalized scores and
-    C = (F + alpha*T)/(1+alpha) exactly.  formulas is the collection's
-    FormulaMatrix for provider, and rank the page_rank of its page ids (those
-    of collection.pages, in order); both are built here when not given, so a
-    caller that ranks many queries builds them once and passes them.  Pages
-    are ordered by (-C, page_id) with np.lexsort over (-C, rank).
+    C = (F + alpha*T)/(1+alpha) exactly.  Every page and query formula is
+    resolved in one provider.vectors_for call, and the page formulae form
+    one FormulaMatrix.  Pages are ordered by (-C, page_id) with np.lexsort
+    over (-C, page_rank), computed once for all the queries.
 
     A query with no usable formula (none at all, or none that resolves) is
     flagged no_formulae: FORMULA2VEC returns no pages for it, and COMBINED
@@ -391,26 +377,43 @@ def rank_pages(query: Query, collection: Collection, method: RankMethod,
     if method in (RankMethod.LM, RankMethod.COMBINED) and index is None:
         raise ValueError(f"{method.value} ranking needs a text index")
 
+    queries = list(queries)
     ids = [page.page_id for page in collection.pages]
-    F = np.zeros(len(ids))
-    query_vectors = _query_vectors(query, provider) if uses_formulae else []
-    no_formulae = uses_formulae and not query_vectors
-    if no_formulae and method is RankMethod.FORMULA2VEC:
-        return RankedList(query.query_id, [], F[:0], F[:0], F[:0], no_formulae=True)
-    if query_vectors:
-        if formulas is None:
-            formulas = FormulaMatrix.build(collection.pages, collection, provider)
-        ids, F = formulas.page_ids, formulas.scores(query_vectors)
-    if method is RankMethod.FORMULA2VEC:
-        C, T = F, np.zeros(len(ids))
-    elif method is RankMethod.LM:
-        C = T = lm_score(query.keywords, ids, index, mu=mu)
-    else:
-        F, T = _minmax(F), _minmax(lm_score(query.keywords, ids, index, mu=mu))
-        C = combined_score(F, T, alpha)
-    order = np.lexsort((page_rank(ids) if rank is None else rank, -C))
-    return RankedList(query.query_id, list(map(ids.__getitem__, order.tolist())),
-                      F[order], T[order], C[order], no_formulae=no_formulae)
+    rank, query_vectors = page_rank(ids), [[] for _ in queries]
+    if uses_formulae:
+        page_formulae = [collection.formulas[fid] for p in collection.pages
+                         for fid in p.formula_ids]
+        vectors = provider.vectors_for(page_formulae + [f for q in queries for f in q.formulae])
+        formulas = FormulaMatrix.build(collection.pages, vectors[:len(page_formulae)])
+        rest = iter(vectors[len(page_formulae):])
+        query_vectors = [[v for v in islice(rest, len(q.formulae)) if v is not None]
+                         for q in queries]
+    ranked = []
+    for query, qvecs in zip(queries, query_vectors):
+        no_formulae = uses_formulae and not qvecs
+        F = formulas.scores(qvecs) if qvecs else np.zeros(len(ids))
+        if no_formulae and method is RankMethod.FORMULA2VEC:
+            ranked.append(RankedList(query.query_id, [], F[:0], F[:0], F[:0], no_formulae=True))
+            continue
+        if method is RankMethod.FORMULA2VEC:
+            C, T = F, np.zeros(len(ids))
+        elif method is RankMethod.LM:
+            C = T = lm_score(query.keywords, ids, index, mu=mu)
+        else:
+            F, T = _minmax(F), _minmax(lm_score(query.keywords, ids, index, mu=mu))
+            C = combined_score(F, T, alpha)
+        order = np.lexsort((rank, -C))
+        ranked.append(RankedList(query.query_id, list(map(ids.__getitem__, order.tolist())),
+                                 F[order], T[order], C[order], no_formulae=no_formulae))
+    return ranked
+
+
+def rank_pages(query: Query, collection: Collection, method: RankMethod,
+               provider: FormulaVectorProvider | None = None,
+               index: TextIndex | None = None,
+               alpha: float = DEFAULT_ALPHA, mu: float | None = None) -> RankedList:
+    """rank_queries for one query."""
+    return rank_queries([query], collection, method, provider, index, alpha, mu)[0]
 
 
 def write_run(ranked_lists, path, tag: str = "mathemb", top: int = 1000,

@@ -588,6 +588,22 @@ class TestCorruptArtifacts:
         assert err.startswith(f"error: {paths[artifact]}:{first + 2}: duplicate page_id "), err
         assert err.count("\n") == 1 and not out.exists()
 
+    def test_search_rejects_a_repeated_formula_record(self, pipeline, tmp_path, capsys):
+        # a second record for a formula id, holding other surfaces
+        store = tmp_path / "store.txt"
+        lines = pipeline["store"].read_text().splitlines()
+        lines.append('{"id":"Trig_Addition#f0","kind":"formula","surfaces":["z"]}')
+        store.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.run"
+        capsys.readouterr()
+        assert main(["search", "--store", str(store), "--queries", str(QUERIES_PATH),
+                     "--method", "formula2vec", "--model", str(pipeline["f2v"]),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {store}:{len(lines)}: duplicate formula id "
+                              "'Trig_Addition#f0'"), err
+        assert err.count("\n") == 1 and not out.exists()
+
     @pytest.mark.parametrize("reader", ["collection", "stopwords", "run", "qrels", "vectors"])
     def test_non_utf8_line_exits_one_with_path_and_line(self, pipeline, tmp_path, capsys,
                                                         reader):

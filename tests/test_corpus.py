@@ -216,6 +216,31 @@ class TestPersistence:
         with pytest.raises(DuplicatePageId, match=f"store.txt:3: duplicate page_id '{page_id}'"):
             load_collection(p)
 
+    def test_repeated_formula_record_rejected_with_line(self, fixture_collection, tmp_path):
+        # a second record for the store's first formula id, with other surfaces
+        p = tmp_path / "store.txt"
+        save_collection(fixture_collection, p)
+        fid = next(iter(fixture_collection.formulas))
+        lines = p.read_text().splitlines()
+        lines.append(json.dumps({"id": fid, "kind": "formula", "surfaces": ["z"]}))
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord,
+                           match=f"store.txt:{len(lines)}: duplicate formula id '{fid}'"):
+            load_collection(p)
+
+    def test_repeated_training_formula_rejected_with_line(self, fixture_train_corpus,
+                                                          tmp_path):
+        # the training corpus's first formula line written again at its end
+        p = tmp_path / "train.txt"
+        save_training_corpus(fixture_train_corpus, p)
+        lines = p.read_text().splitlines()
+        lines.append(lines[1])
+        p.write_text("\n".join(lines) + "\n")
+        fid = fixture_train_corpus[0].id
+        with pytest.raises(MalformedRecord,
+                           match=f"train.txt:{len(lines)}: duplicate formula id '{fid}'"):
+            load_training_corpus(p)
+
     def test_training_corpus_round_trip(self, fixture_train_corpus, tmp_path):
         p1 = tmp_path / "t1.txt"
         p2 = tmp_path / "t2.txt"

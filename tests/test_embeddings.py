@@ -848,6 +848,27 @@ class TestPersistence:
         assert main(["neighbors", "--model", str(prefix), "--symbol", "a"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}:{len(lines)}: ")
 
+    @pytest.mark.parametrize("ext", [".wv.txt", ".dv.txt"])
+    def test_repeated_label_rejected_with_line(self, trained_formula_table, tmp_path,
+                                               capsys, ext):
+        # the first row written again at the end, the count line raised to match
+        prefix = tmp_path / "model"
+        save_table(trained_formula_table, prefix)
+        path = tmp_path / f"model{ext}"
+        lines = path.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if not ln.startswith(("#", "MATHEMB")))
+        n, dim = lines[at].split()
+        lines[at] = f"{int(n) + 1} {dim}"
+        lines.append(lines[at + 1])
+        path.write_text("\n".join(lines) + "\n")
+        label = lines[-1].split(" ")[0]
+        with pytest.raises(MalformedRecord,
+                           match=f"model{ext}:{len(lines)}: duplicate label '{label}'"):
+            load_table(prefix)
+        capsys.readouterr()
+        assert main(["neighbors", "--model", str(prefix), "--symbol", "a"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:{len(lines)}: duplicate ")
+
     def test_rows_labelled_with_a_hash_are_rows(self, tmp_path):
         # "#" is a token surface, so only the lines before the count line
         # are comments

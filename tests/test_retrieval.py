@@ -18,7 +18,7 @@ from mathemb.errors import (
 )
 from mathemb.retrieval import (
     NO_FORMULA_FLOOR, FormulaVectorProvider, RankedList, RankMethod, TextIndex, _minmax,
-    combined_score, formula_page_score, lm_score, page_rank, rank_pages, write_run,
+    combined_score, formula_page_score, lm_score, rank_pages, rank_queries, write_run,
 )
 from mathemb.tokenizer import TokenizedFormula, tokenize
 
@@ -409,11 +409,10 @@ class TestRankPages:
             coll.pages.append(Page(pid, pid, ["w0", "v"], [f"{pid}#f0"]))
             mapping[f"{pid}#f0"] = unit_at(0.5)
         query, qmap = make_query([unit_at(0.9)])
-        for rank in (None, page_rank(ids)):
-            rl = rank_pages(query, coll, method, provider=StubProvider({**mapping, **qmap}),
-                            index=TextIndex.build(coll), rank=rank)
-            assert len(set(rl.C.tolist())) == 1
-            assert rl.ids == sorted(ids) == ["B", "a", "a\x00", "a0", "é"]
+        rl = rank_pages(query, coll, method, provider=StubProvider({**mapping, **qmap}),
+                        index=TextIndex.build(coll))
+        assert len(set(rl.C.tolist())) == 1
+        assert rl.ids == sorted(ids) == ["B", "a", "a\x00", "a0", "é"]
 
     def test_combined_invariant_exact(self, fixture_collection, fixture_queries,
                                       fixture_index, provider):
@@ -470,6 +469,46 @@ class TestRankPages:
         with pytest.raises(NegativeAlpha):
             rank_pages(fixture_queries[0], fixture_collection, RankMethod.COMBINED,
                        provider=provider, index=fixture_index, alpha=-1.0)
+
+
+class TestRankQueries:
+    @pytest.mark.parametrize("method", list(RankMethod), ids=lambda m: m.value)
+    def test_equals_rank_pages_per_query(self, fixture_collection, fixture_queries,
+                                         fixture_index, trained_formula_table, method):
+        # a fresh provider per side: one batch for the whole search against
+        # one batch per query, with the memo filling up as they go
+        oov = TokenizedFormula("oov#f0", tokenize("\\nosuchtok \\another"))
+        mixed = [fixture_queries[1].formulae[0], oov, fixture_queries[3].formulae[0]]
+        queries = [Query("mixed", ["decay"], mixed), *fixture_queries,
+                   Query("kw", ["matrix"], []), Query("oov", ["matrix"], [oov])]
+        kw = dict(index=fixture_index, alpha=2.5)
+        together = rank_queries(queries, fixture_collection, method,
+                                FormulaVectorProvider(trained_formula_table), **kw)
+        alone = FormulaVectorProvider(trained_formula_table)
+        apart = [rank_pages(q, fixture_collection, method, alone, **kw) for q in queries]
+        assert len(together) == len(apart) == len(queries)
+        for a, b in zip(together, apart):
+            assert a.query_id == b.query_id and a.ids == b.ids
+            assert a.no_formulae == b.no_formulae
+            for name in "FTC":
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (a.query_id, name)
+        assert [rl.no_formulae for rl in together[-2:]] == [method is not RankMethod.LM] * 2
+
+    @pytest.mark.parametrize("method,calls", [(RankMethod.FORMULA2VEC, 1),
+                                              (RankMethod.LM, 0), (RankMethod.COMBINED, 1)],
+                             ids=lambda m: getattr(m, "value", m))
+    def test_one_vectors_for_call_per_search(self, fixture_collection, fixture_queries,
+                                             fixture_index, provider, method, calls):
+        class Counting:
+            count = 0
+
+            def vectors_for(self, formulae):
+                Counting.count += 1
+                return provider.vectors_for(formulae)
+
+        ranked = rank_queries(fixture_queries, fixture_collection, method, Counting(),
+                              fixture_index)
+        assert len(ranked) == len(fixture_queries) and Counting.count == calls
 
 
 class TestProvider:

@@ -1,15 +1,18 @@
 """The benchmark tracer (perfbench/spans.py) wraps package functions by name.
 
 A refactor that drops or renames one of those names makes Tracer.install
-raise KeyError; this test fails first, before a traced benchmark run does.
+raise KeyError; these tests fail first, before a traced benchmark run does.
+A refactor that moves a layer out of the tracer's sight (a search no longer
+calls a wrapped name) fails the span counts of a traced search.
 """
 
 import importlib.util
 import sys
 
+from mathemb.cli import main
 from mathemb.retrieval import RankMethod, rank_pages
 
-from conftest import ROOT
+from conftest import COLLECTION_PATH, QUERIES_PATH, ROOT
 
 
 def load_spans():
@@ -38,3 +41,26 @@ def test_tracer_wraps_live_names_and_restores_them(fixture_collection, fixture_q
         tracer.uninstall()
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, attr
+
+
+def test_traced_search_reaches_its_layers(tmp_path, fixture_queries):
+    store, train, model, index = (tmp_path / n for n in ("store", "train", "f2v", "index"))
+    for argv in (["ingest", "--collection", str(COLLECTION_PATH), "--out", str(store)],
+                 ["filter", "--store", str(store), "--out", str(train)],
+                 ["train-formula2vec", "--corpus", str(train), "--out", str(model),
+                  "--dim", "8", "--epochs", "1"],
+                 ["index-text", "--store", str(store), "--out", str(index)]):
+        assert main(argv) == 0
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert main(["search", "--store", str(store), "--queries", str(QUERIES_PATH),
+                     "--method", "combined", "--model", str(model), "--index", str(index),
+                     "--out", str(tmp_path / "combined.run")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("retrieval.lm_score") == len(fixture_queries)
+    for name in ("retrieval.TextIndex.load", "embeddings.load_table", "retrieval.write_run"):
+        assert tracer.calls(name) == 1, name
+    # search ranks through rank_queries, so the per-query rank_pages span is never entered
+    assert tracer.calls("retrieval.rank_pages.combined") == 0
