@@ -149,12 +149,14 @@ def build_parser():
     p.add_argument("--store", required=True, help="collection store")
     p.add_argument("--out", required=True, help="output training corpus")
 
-    p = add("train-symbol2vec", "train symbol vectors (CBOW, negative sampling)", _cmd_train)
+    p = add("train-symbol2vec", "train symbol vectors (CBOW, negative sampling)", _cmd_train,
+            check=_training_config)
     p.add_argument("--corpus", required=True, help="training corpus file")
     p.add_argument("--out", required=True, help="model file prefix")
     _add_training_flags(p, default_dim=100)
 
-    p = add("train-formula2vec", "train formula vectors (PV-DM)", _cmd_train)
+    p = add("train-formula2vec", "train formula vectors (PV-DM)", _cmd_train,
+            check=_training_config)
     p.add_argument("--corpus", required=True, help="training corpus file")
     p.add_argument("--out", required=True, help="model file prefix")
     _add_training_flags(p, default_dim=300)
@@ -282,16 +284,19 @@ def _write_or_print(text: str, out_path):
 
 
 def _check_sweep_values(args) -> None:
-    """The rule for sweep --values, which depends on --axis."""
+    """The training flags' rules, then sweep --values's, which depends on --axis."""
+    _training_config(args)
     must = "be integers >= 1" if args.axis == "dimension" else "be finite and >= 0"
     if not all(map(_RULES[must], _split(args.values))):
         raise ValueError(f"--values must {must}")
 
 
-def _training_config(args, mode):
-    """The training flags as a TrainingConfig; ValueError names a bad one."""
-    from .embeddings import TrainingConfig
+def _training_config(args):
+    """The training flags as a TrainingConfig, in symbol2vec mode for
+    train-symbol2vec, else formula2vec; ValueError names a bad flag."""
+    from .embeddings import Mode, TrainingConfig
 
+    mode = Mode.SYMBOL2VEC if args.command == "train-symbol2vec" else Mode.FORMULA2VEC
     return TrainingConfig(dim=args.dim, window=args.window, negatives=args.negatives,
                           epochs=args.epochs, lr_start=args.lr_start, lr_end=args.lr_end,
                           seed=args.seed, mode=mode)
@@ -339,11 +344,10 @@ def _cmd_train(args) -> int:
     from .corpus import build_vocabulary, load_training_corpus
     from .embeddings import Mode, save_table, train_formula2vec, train_symbol2vec
 
-    mode = Mode(args.command.removeprefix("train-"))
-    config = _training_config(args, mode)
+    config = _training_config(args)
     corpus = load_training_corpus(args.corpus)
     vocab = build_vocabulary(corpus, min_count=args.min_count, power=args.sample_power)
-    trainer = train_symbol2vec if mode is Mode.SYMBOL2VEC else train_formula2vec
+    trainer = train_symbol2vec if config.mode is Mode.SYMBOL2VEC else train_formula2vec
     table = trainer(corpus, vocab, config)
     save_table(table, args.out)
     loss = f"{table.epoch_losses[-1]:.4f}" if table.epoch_losses else "n/a"
@@ -441,11 +445,10 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .corpus import ingest_queries, load_collection, load_training_corpus
-    from .embeddings import Mode
     from .evaluation import SweepAxis, parse_qrels, sweep, sweep_tsv
 
     axis = SweepAxis(args.axis)
-    config = _training_config(args, Mode.FORMULA2VEC)
+    config = _training_config(args)
     ks = _split(args.ks, int)
     results = sweep(
         axis, _split(args.values),

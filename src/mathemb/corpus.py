@@ -77,7 +77,7 @@ def load_stopwords(path) -> frozenset[str]:
 
 
 def _check_id(value, kind: str) -> str:
-    if not isinstance(value, str) or not value or any(c.isspace() for c in value):
+    if not isinstance(value, str) or value.split() != [value]:
         raise MalformedRecord(
             f"{kind} must be a non-empty string without whitespace, got {value!r}")
     return value
@@ -267,11 +267,13 @@ class _StoreReader(dict):
     def record(self, rec) -> Page | TokenizedFormula:
         kind = rec["kind"]
         if kind == "page":
-            if rec["page_id"] in self.page_ids:
-                raise DuplicatePageId(f"duplicate page_id {rec['page_id']!r}")
-            self.page_ids.add(rec["page_id"])
-            return Page(rec["page_id"], rec["title"], list(rec["text_terms"]),
-                        list(rec["formula_ids"]))
+            page_id, terms, formula_ids = rec["page_id"], rec["text_terms"], rec["formula_ids"]
+            if _check_id(page_id, "page_id") in self.page_ids:
+                raise DuplicatePageId(f"duplicate page_id {page_id!r}")
+            if type(terms) is not list or type(formula_ids) is not list:
+                raise MalformedRecord("text_terms and formula_ids must be lists")
+            self.page_ids.add(page_id)
+            return Page(page_id, rec["title"], terms, formula_ids)
         if kind == "formula":
             return self.formula(rec)
         raise MalformedRecord(f"unknown record kind {kind!r}")

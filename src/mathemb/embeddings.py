@@ -31,10 +31,10 @@ redrawn together, in at most 100 rounds, and then dropped.  What depends
 only on those draws (each context's members and count, each position's
 output rows and which of them are live, each block's distinct rows and
 where every entry falls in its coefficient matrix) is built once per epoch,
-with one sort over all blocks, and the epoch's loss comes from the dots
-_sgd returns, in one call after its last block.  Training is deterministic
-for a given (corpus, config, seed) on one BLAS build, which fixes the
-products' summation order.
+with one sort over all blocks, as a list of blocks, each one _sgd call's
+arguments; the epoch's loss comes from the dots _sgd returns, in one call
+after its last block.  Training is deterministic for a given (corpus,
+config, seed) on one BLAS build, which fixes the products' summation order.
 
 Inference of unseen formulae (infer_vectors, and infer_vector for one) runs
 the same gradient core with the trained rows frozen, updating a new formula
@@ -158,16 +158,12 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
 def nce_loss(center, positive, negatives) -> float:
     """Negative-sampling loss of one (context mean, target, negatives) triple."""
     h = np.asarray(center, dtype=np.float64)
-    u = np.asarray(positive, dtype=np.float64)
-    if h.shape != u.shape:
-        raise DimensionMismatch(f"center {h.shape} vs positive {u.shape}")
-    loss = -float(_log_sigmoid(np.array([u @ h]))[0])
-    for neg in negatives:
-        un = np.asarray(neg, dtype=np.float64)
-        if un.shape != h.shape:
-            raise DimensionMismatch(f"center {h.shape} vs negative {un.shape}")
-        loss -= float(_log_sigmoid(np.array([-(un @ h)]))[0])
-    return loss
+    rows = [np.asarray(u, dtype=np.float64) for u in (positive, *negatives)]
+    for i, u in enumerate(rows):
+        if u.shape != h.shape:
+            raise DimensionMismatch(f"center {h.shape} vs {'negative' if i else 'positive'} "
+                                    f"{u.shape}")
+    return float(_loss(np.array([[u @ h for u in rows]]), live=True)[0])
 
 
 def _gradient(h, u, live, lr, n_members):
@@ -183,36 +179,25 @@ def _gradient(h, u, live, lr, n_members):
 
 
 class _Rows(NamedTuple):
-    """The rows that a run of blocks of positions adds to, entry by entry.
-    ids holds each entry's row: one entry per context member (flat), or one
-    per output row of each position, (m, k+1).  distinct holds every
-    block's distinct rows, block after block, and at each entry's index in
-    its block's (positions x distinct rows) coefficient matrix, row-major,
-    so that one np.bincount builds that matrix.  Block j's entries are
-    ids[edges[j]:edges[j + 1]] and its distinct rows
-    distinct[firsts[j]:firsts[j + 1]]."""
+    """The rows that one block of positions adds to, entry by entry.  ids
+    holds each entry's row: one entry per context member (flat), or one per
+    output row of each position, (m, k+1).  distinct holds the block's
+    distinct rows, and at each entry's index in the block's (positions x
+    distinct rows) coefficient matrix, row-major, so that one np.bincount
+    builds that matrix."""
 
     ids: np.ndarray
     distinct: np.ndarray
     at: np.ndarray
-    edges: list[int]
-    firsts: list[int]
-
-    def block(self, j) -> "_Rows":
-        """Block j as a run of one block."""
-        start, stop = self.edges[j], self.edges[j + 1]
-        first, last = self.firsts[j], self.firsts[j + 1]
-        return _Rows(self.ids[start:stop], self.distinct[first:last], self.at[start:stop],
-                     [0, stop - start], [0, last - first])
 
 
-def _block_rows(ids, counts, block: int, edges) -> _Rows:
-    """_Rows of the entries ids, counts[p] of them for the p-th position, in
-    blocks of `block` positions whose entries start at edges.  One sort of
-    every (block, row) key finds each block's distinct rows, so no block
-    sorts its own, and a block's coefficient matrix has a column per row it
-    uses, never one per row of the table.  (np.unique would do the same with
-    about twice the temporary memory.)"""
+def _block_rows(ids, counts, block: int) -> list[_Rows]:
+    """One _Rows per block of `block` positions, for the entries ids, counts[p]
+    of them for the p-th position (ids flat, or one row per position).  One
+    sort of every (block, row) key finds each block's distinct rows, so no
+    block sorts its own, and a block's coefficient matrix has a column per
+    row it uses, never one per row of the table.  (np.unique would do the
+    same with about twice the temporary memory.)"""
     m, size = len(counts), int(ids.max()) + 1
     block_of = np.arange(m) // block
     keys = np.repeat(block_of * size, counts)
@@ -223,33 +208,36 @@ def _block_rows(ids, counts, block: int, edges) -> _Rows:
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     distinct = keys[new]
-    firsts = np.searchsorted(distinct, np.arange(len(edges)) * size)
+    starts = np.arange(block_of[-1] + 2) * size   # each block's first key, then the end
+    firsts = np.searchsorted(distinct, starts)
     at = np.empty(len(keys), dtype=np.int32)
     at[order] = np.cumsum(new, dtype=np.int32) - 1
     at += np.repeat(np.arange(m) % block * np.diff(firsts)[block_of] - firsts[block_of], counts)
-    return _Rows(ids, distinct % size, at.reshape(ids.shape), edges.tolist(), firsts.tolist())
+    at, distinct, firsts = at.reshape(ids.shape), distinct % size, firsts.tolist()
+    # each block's first entry, counted in rows of ids (an entry, or a position's)
+    edges = (np.searchsorted(keys, starts) * len(ids) // ids.size).tolist()
+    return [_Rows(ids[i:end], distinct[first:last], at[i:end])
+            for i, end, first, last in zip(edges, edges[1:], firsts, firsts[1:])]
 
 
-def _tables(ctx, targets, negatives, pad, block: int | None = None):
-    """What SGD over m positions, in blocks of `block` (one block of all m
-    by default), needs of their draws alone, before any row is read: each
-    context's member count; the context members as _Rows of the word table;
-    where each block starts (bounds, m at the end); each position's output
-    rows, target first, as _Rows of the output table; and their live mask
-    (False for a dropped negative).  Training builds them once per epoch
-    and takes one block of them at a time."""
+def _tables(ctx, targets, negatives, pad, lr, block: int | None = None):
+    """Each block's _sgd arguments after the two tables, for m positions in
+    blocks of `block` (one block of all m by default): the contexts, their
+    member counts, the members as _Rows of the word table, each position's
+    output rows (target first) as _Rows of the output table, their live mask
+    (False for a dropped negative) and lr, one rate per position.  All but
+    lr depend on the draws alone; training builds them once per epoch."""
     m = len(ctx)
     in_ctx = ctx != pad
     n_ctx = np.count_nonzero(in_ctx, axis=1)
     rows = np.concatenate((targets[:, None], negatives), axis=1)
+    live = rows != pad
     block = block or m
-    bounds = np.append(np.arange(0, m, block), m)
-    offsets = np.concatenate(([0], np.cumsum(n_ctx)))
-    return (n_ctx,
-            _block_rows(ctx[in_ctx], n_ctx, block, offsets[bounds]),
-            bounds,
-            _block_rows(rows, np.full(m, rows.shape[1]), block, bounds),
-            rows != pad)
+    bounds = [*range(0, m, block), m]
+    members = _block_rows(ctx[in_ctx], n_ctx, block)
+    outs = _block_rows(rows, np.full(m, rows.shape[1]), block)
+    return [(ctx[i:end], n_ctx[i:end], c, o, live[i:end], lr[i:end])
+            for i, end, c, o in zip(bounds, bounds[1:], members, outs)]
 
 
 def _add(table, rows: _Rows, values, weights=None) -> None:
@@ -267,13 +255,13 @@ def _sgd(words, outputs, ctx, n_ctx, members, rows, live, lr) -> np.ndarray:
     pre-update dots (m, k+1) of each position's output rows, from which
     _loss gives its loss.
 
-    ctx (m, c) indexes words, words[pad] being a zero row that fills the
-    empty slots (in formula mode the last column is the formula's row);
-    n_ctx, members, rows and live are the _tables of this block, and
-    rows.ids index outputs.  h is the mean of the context rows.  lr is one
-    rate or one per position.  Every gradient is taken at the rows as they
-    are on entry and the m updates are summed into them, so a row used
-    twice in the block gets both: _add sums each table's in one product.
+    The arguments after the two tables are one block of _tables.  ctx
+    (m, c) indexes words, words[pad] being a zero row that fills the empty
+    slots (in formula mode the last column is the formula's row), and
+    rows.ids index outputs.  h is the mean of the context rows.  Every
+    gradient is taken at the rows as they are on entry and the m updates
+    are summed into them, so a row used twice in the block gets both: _add
+    sums each table's in one product.
     """
     h = words[ctx].sum(axis=1) / n_ctx[:, None]
     dots, step, member_step = _gradient(h, outputs[rows.ids], live, lr, n_ctx)
@@ -308,10 +296,10 @@ def _one_step(table: EmbeddingTable, doc_row, context_indices, target_index,
     if doc_row is not None:
         ctx = np.append(ctx, [[pad + 1 + doc_row]], axis=1)
     words = np.vstack((table.input_vectors, np.zeros((1, dim)), docs))
-    n_ctx, members, _, rows, live = _tables(ctx, np.array([target_index]), negatives, pad)
-    dots = _sgd(words, table.context_vectors, ctx, n_ctx, members, rows, live, lr)
+    (block,) = _tables(ctx, np.array([target_index]), negatives, pad, [lr])
+    dots = _sgd(words, table.context_vectors, *block)
     table.input_vectors[:], docs[:] = words[:pad], words[pad + 1:]
-    return float(_loss(dots, live)[0])
+    return float(_loss(dots, block[4])[0])
 
 
 def cbow_step(table: EmbeddingTable, context_indices, target_index,
@@ -438,13 +426,9 @@ def _epoch(words, outputs, ctx, targets, negatives, lr, pad) -> float:
     """One epoch of _sgd in blocks of _BLOCK, from the epoch's draws; returns
     its mean loss.  Its _tables live only while it runs, so they are gone
     before the next epoch builds its own."""
-    n_ctx, members, bounds, rows, live = _tables(ctx, targets, negatives, pad, _BLOCK)
-    dots = np.empty(live.shape)
-    for j, (i, end) in enumerate(zip(bounds[:-1], bounds[1:])):
-        b = slice(i, end)
-        dots[b] = _sgd(words, outputs, ctx[b], n_ctx[b], members.block(j), rows.block(j),
-                       live[b], lr[b])
-    return float(_loss(dots, live).mean())
+    blocks = _tables(ctx, targets, negatives, pad, lr, _BLOCK)
+    dots = [_sgd(words, outputs, *block) for block in blocks]
+    return float(_loss(np.concatenate(dots), np.concatenate([b[4] for b in blocks])).mean())
 
 
 def train_symbol2vec(formulas, vocab: Vocabulary, config: TrainingConfig) -> EmbeddingTable:

@@ -89,6 +89,8 @@ def parse_run(path) -> dict[str, list[tuple[str, float]]]:
             score_val = float(score)
         except ValueError:
             raise MalformedRunLine(f"{path}:{line_no}: bad rank/score") from None
+        if not math.isfinite(score_val):
+            raise MalformedRunLine(f"{path}:{line_no}: score {score!r} is not finite")
         per_query = run.setdefault(qid, {})
         if pid in per_query:
             raise MalformedRunLine(f"{path}:{line_no}: duplicate page {pid!r} for query {qid!r}")

@@ -82,6 +82,28 @@ def test_invalid_training_flags_exit_two_before_reading_the_corpus(tmp_path, cap
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["train-symbol2vec", "train-formula2vec", "sweep"])
+@pytest.mark.parametrize("flags,message", [
+    (["--dim", "0"], "dim must be >= 1"),
+    (["--lr-start", "0.001", "--lr-end", "0.01"], "need lr_start >= lr_end > 0"),
+], ids=["dim-zero", "lr-rising"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_invalid_training_flags_exit_two_with_dump_config(tmp_path, capsys, command, flags,
+                                                          message, via_config):
+    # checked at parse time, as every other range rule is: --dump-config prints nothing
+    inputs = {"sweep": ["--axis", "alpha", "--values", "4", "--store", "s", "--queries", "q",
+                        "--qrels", "r"]}.get(command, [])
+    if via_config:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({flag[2:].replace("-", "_"): json.loads(value)
+                                        for flag, value in zip(flags[::2], flags[1::2])}))
+        flags = ["--config", str(cfg_file)]
+    assert main([command, *inputs, "--corpus", "c", "--out", "o", *flags,
+                 "--dump-config"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("method,flag", [("lm", "--index"), ("combined", "--index"),
                                          ("formula2vec", "--model")])
 def test_search_without_its_method_input_exits_two_before_reading(tmp_path, capsys,
@@ -587,6 +609,42 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths[artifact]}:{first + 2}: duplicate page_id "), err
         assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("field,value", [("page_id", "a b"), ("text_terms", "sine")],
+                             ids=["page-id-with-space", "text-terms-string"])
+    def test_index_text_and_search_reject_a_malformed_page_record(self, pipeline, tmp_path,
+                                                                   capsys, field, value):
+        store = tmp_path / "c.store"
+        lines = pipeline["store"].read_text().splitlines()
+        first = next(i for i, ln in enumerate(lines) if '"page_id":' in ln)
+        record = json.loads(lines[first])
+        record[field] = value
+        lines[first] = json.dumps(record)
+        store.write_text("\n".join(lines) + "\n")
+        index, out = tmp_path / "t.index", tmp_path / "r.run"
+        capsys.readouterr()
+        for argv in (["index-text", "--store", str(store), "--out", str(index)],
+                     ["search", "--store", str(store), "--queries", str(QUERIES_PATH),
+                      "--method", "lm", "--index", str(pipeline["index"]), "--out", str(out)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {store}:{first + 1}: "), err
+            assert err.count("\n") == 1
+        assert not index.exists() and not out.exists()
+
+    def test_evaluate_rejects_a_non_finite_run_score(self, pipeline, tmp_path, capsys):
+        run, report = tmp_path / "lm.run", tmp_path / "report.tsv"
+        lines = pipeline["run_lm"].read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        fields = lines[at].split()
+        fields[4] = "nan"
+        lines[at] = " ".join(fields)
+        run.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--run", str(run), "--qrels", str(QRELS_PATH),
+                     "--out", str(report)]) == 1
+        assert capsys.readouterr().err == f"error: {run}:{at + 1}: score 'nan' is not finite\n"
+        assert not report.exists()
 
     def test_search_rejects_a_repeated_formula_record(self, pipeline, tmp_path, capsys):
         # a second record for a formula id, holding other surfaces

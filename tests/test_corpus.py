@@ -216,6 +216,27 @@ class TestPersistence:
         with pytest.raises(DuplicatePageId, match=f"store.txt:3: duplicate page_id '{page_id}'"):
             load_collection(p)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("page_id", "a b", "page_id must be a non-empty string without whitespace, got 'a b'"),
+        ("page_id", "", "page_id must be a non-empty string without whitespace, got ''"),
+        ("page_id", 7, "page_id must be a non-empty string without whitespace, got 7"),
+        ("text_terms", "sine", "text_terms and formula_ids must be lists"),
+        ("formula_ids", None, "text_terms and formula_ids must be lists"),
+    ], ids=["page-id-space", "page-id-empty", "page-id-number", "text-terms-string",
+            "formula-ids-null"])
+    def test_malformed_page_record_rejected_with_line(self, fixture_collection, tmp_path,
+                                                      field, value, message):
+        # the store's first page record with one field replaced
+        p = tmp_path / "store.txt"
+        save_collection(fixture_collection, p)
+        lines = p.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[field] = value
+        lines[1] = json.dumps(record)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord, match=f"store.txt:2: {message}$"):
+            load_collection(p)
+
     def test_repeated_formula_record_rejected_with_line(self, fixture_collection, tmp_path):
         # a second record for the store's first formula id, with other surfaces
         p = tmp_path / "store.txt"

@@ -296,10 +296,10 @@ class TestKernel:
         stacked, outputs = np.vstack((words0, docs0)), outputs0.copy()
         if with_docs:
             ctx = np.hstack((ctx, pad + 1 + doc_rows[:, None]))
-        n_ctx, members, _, rows, live = _tables(ctx, targets, negatives, pad)
-        dots = _sgd(stacked, outputs, ctx, n_ctx, members, rows, live, lr)
+        (block,) = _tables(ctx, targets, negatives, pad, lr)
+        dots = _sgd(stacked, outputs, *block)
         words, docs = stacked[:pad + 1], stacked[pad + 1:]
-        loss = _loss(dots, live)
+        loss = _loss(dots, block[4])
         np.testing.assert_allclose(loss, want_loss, rtol=0, atol=1e-12)
         for after, before, delta in zip((words, outputs, docs), (words0, outputs0, docs0), deltas):
             np.testing.assert_allclose(after, before + delta, rtol=0, atol=1e-12)
@@ -480,15 +480,14 @@ class TestTraining:
             # block 3 holds the second position of formulae 8 to 23, whose rows
             # follow the word table's pad row
             ctx = np.hstack((ctx, size + 1 + np.arange(400)[:, None] % 40))
-            n_ctx, members, bounds, rows, live = _tables(
-                ctx, flat[centers], rng.integers(0, size, (400, k)), size, _BLOCK)
+            blocks = _tables(
+                ctx, flat[centers], rng.integers(0, size, (400, k)), size, np.full(400, 0.1),
+                _BLOCK)
             words, outputs = rng.normal(size=(2, size + 1, dim))
             words = np.vstack((words, rng.normal(size=(40, dim))))
-            b = slice(bounds[3], bounds[4])
             tracemalloc.start()
             try:
-                _sgd(words, outputs, ctx[b], n_ctx[b], members.block(3), rows.block(3), live[b],
-                     0.1)
+                _sgd(words, outputs, *blocks[3])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

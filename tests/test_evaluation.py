@@ -149,6 +149,13 @@ class TestParsers:
         with pytest.raises(MalformedRunLine):
             parse_run(p)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity"])
+    def test_non_finite_run_score_rejected_with_line(self, tmp_path, score):
+        p = tmp_path / "run.txt"
+        p.write_text(f"q1 Q0 d1 1 2.5 t\nq1 Q0 d2 2 {score} t\n")
+        with pytest.raises(MalformedRunLine, match=f"run.txt:2: score '{score}' is not finite"):
+            parse_run(p)
+
     def test_duplicate_run_page(self, tmp_path):
         p = tmp_path / "run.txt"
         p.write_text("q1 Q0 d1 1 2.5 t\nq1 Q0 d1 2 1.5 t\n")

@@ -9,6 +9,8 @@ calls a wrapped name) fails the span counts of a traced search.
 import importlib.util
 import sys
 
+import pytest
+
 from mathemb.cli import main
 from mathemb.retrieval import RankMethod, rank_pages
 
@@ -64,3 +66,22 @@ def test_traced_search_reaches_its_layers(tmp_path, fixture_queries):
         assert tracer.calls(name) == 1, name
     # search ranks through rank_queries, so the per-query rank_pages span is never entered
     assert tracer.calls("retrieval.rank_pages.combined") == 0
+
+
+@pytest.mark.parametrize("command", ["train-symbol2vec", "train-formula2vec"])
+def test_traced_training_reaches_its_layers(tmp_path, command):
+    # the benchmark's per-layer training metrics come from these two spans
+    store, train = tmp_path / "store", tmp_path / "train"
+    for argv in (["ingest", "--collection", str(COLLECTION_PATH), "--out", str(store)],
+                 ["filter", "--store", str(store), "--out", str(train)]):
+        assert main(argv) == 0
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert main([command, "--corpus", str(train), "--out", str(tmp_path / "m"),
+                     "--dim", "8", "--epochs", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    trainer = "embeddings." + command.replace("-", "_")
+    for name in (trainer, "embeddings.save_table"):
+        assert tracer.calls(name) == 1, name
