@@ -130,8 +130,8 @@ def ingest_pages(path, stopwords: frozenset[str] = frozenset()) -> Collection:
     return coll
 
 
-def ingest_queries(path, stopwords: frozenset[str] = frozenset()) -> list[Query]:
-    """Read a query file; keywords get the same normalization as page text."""
+def ingest_queries(path) -> list[Query]:
+    """Read a query file; keywords are normalized as page text, but no stopword is removed."""
     seen: set[str] = set()
 
     def query(rec) -> Query:
@@ -143,7 +143,7 @@ def ingest_queries(path, stopwords: frozenset[str] = frozenset()) -> list[Query]
             raise DuplicateQueryId(f"duplicate query_id {query_id!r}")
         seen.add(query_id)
         keywords = [term for kw in _string_list(rec, "keywords")
-                    for term in normalize_text(kw, stopwords)]
+                    for term in normalize_text(kw)]
         # "#q", not a page formula's "#f": trained rows are looked up by id
         formulae = _tokenized(_string_list(rec, "formulas"), f"{query_id}#q")
         if not keywords and not formulae:
@@ -259,7 +259,7 @@ class _StoreReader(dict):
         return token
 
     def formula(self, rec) -> TokenizedFormula:
-        if rec["id"] in self.formula_ids:
+        if _check_id(rec["id"], "formula id") in self.formula_ids:
             raise MalformedRecord(f"duplicate formula id {rec['id']!r}")
         self.formula_ids.add(rec["id"])
         return TokenizedFormula(rec["id"], list(map(self.__getitem__, rec["surfaces"])))

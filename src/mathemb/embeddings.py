@@ -38,13 +38,13 @@ config, seed) on one BLAS build, which fixes the products' summation order.
 
 Inference of unseen formulae (infer_vectors, and infer_vector for one) runs
 the same gradient core with the trained rows frozen, updating a new formula
-vector alone.  Formulae are therefore independent, and a batch of them runs
-in lockstep, one position of each per step, while every formula draws its
-initialization, widths and negatives up front from its own seeded generator.
-What depends only on those draws and the frozen rows (each draw's output
-rows in one (step x formula) grid, and the size and word-row sum of the
-window of every (position, width)) is laid out once per block, so a step
-gathers its window sums and updates the formula vectors, nothing more.
+vector alone at the model's own rate.  Formulae are therefore independent, and
+a batch of them runs in lockstep, one position of each per step, while every
+formula draws its initialization, widths and negatives up front from its own
+seeded generator.  What depends only on those draws and the frozen rows (each
+draw's output rows in one (step x formula) grid, and the size and word-row sum
+of the window of every (position, width)) is laid out once per block, so a
+step gathers its window sums and updates the formula vectors, nothing more.
 """
 
 from __future__ import annotations
@@ -463,12 +463,13 @@ def train_formula2vec(formulas, vocab: Vocabulary, config: TrainingConfig) -> Em
 _INFER_BLOCK = 256
 
 
-def infer_vectors(token_lists, table: EmbeddingTable, seeds, steps: int = 50,
-                  lr: float = 0.025) -> list[np.ndarray | None]:
+def infer_vectors(token_lists, table: EmbeddingTable, seeds,
+                  steps: int = 50) -> list[np.ndarray | None]:
     """Vectors for unseen formulae under a trained formula-mode table.
 
     Formula i gets `steps` PV-DM passes over its in-vocabulary tokens that
-    update only its own new vector; word and context rows stay frozen.  Its
+    update only its own new vector, at a rate falling linearly from the
+    model's lr_start to its lr_end; word and context rows stay frozen.  Its
     own np.random.default_rng(seeds[i]) draws, up front, its initialization,
     then every window width, then every negative, so a formula's vector does
     not depend on the others inferred with it: it is the same, bit for bit,
@@ -496,7 +497,7 @@ def infer_vectors(token_lists, table: EmbeddingTable, seeds, steps: int = 50,
     for start in range(0, len(order), _INFER_BLOCK):
         block = order[start:start + _INFER_BLOCK]
         vecs = _infer_block([seqs[i] for i in block], [seeds[i] for i in block],
-                            table, words, outputs, steps, lr)
+                            table, words, outputs, steps)
         for i, vec in zip(block, vecs):
             out[i] = vec
     return out
@@ -519,8 +520,7 @@ def _window_sums(words, seqs, window: int, pad: int):
     return np.count_nonzero(contexts != pad, axis=1), sums
 
 
-def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs,
-                 steps: int, lr: float) -> np.ndarray:
+def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs, steps: int) -> np.ndarray:
     """Lockstep inference of non-empty sequences sorted by length, longest
     first.  The window sums and every draw's rows are laid out before the
     step loop, which updates the formula vectors alone: formula i's s-th
@@ -545,7 +545,7 @@ def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs,
         out_rows[:n, i, 0] = targets = np.tile(seq, steps)
         out_rows[:n, i, 1:] = _negatives(table.vocab, rng, targets, config.negatives, pad)
 
-    lr_end = min(lr, config.lr_end)
+    lr, lr_end = config.lr_start, config.lr_end
     totals = np.maximum(1, n_steps - 1)
     running = np.searchsorted(-n_steps, -np.arange(n_steps[0]))
     for step, active in enumerate(running):
@@ -560,15 +560,14 @@ def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs,
     return vecs
 
 
-def infer_vector(tokens, table: EmbeddingTable, steps: int = 50,
-                 lr: float = 0.025, seed: int = 0) -> np.ndarray:
+def infer_vector(tokens, table: EmbeddingTable, steps: int = 50, seed: int = 0) -> np.ndarray:
     """Vector for one unseen formula: infer_vectors on a batch of one.
 
     Out-of-vocabulary tokens are skipped; if nothing remains,
     UnknownTokensOnly is raised.  steps=0 returns the seeded random
     initialization.
     """
-    vec = infer_vectors([tokens], table, [seed], steps=steps, lr=lr)[0]
+    vec = infer_vectors([tokens], table, [seed], steps=steps)[0]
     if vec is None:
         raise UnknownTokensOnly("every token is out of vocabulary")
     return vec

@@ -195,9 +195,9 @@ def _content_seed(base_seed: int, formula: TokenizedFormula) -> int:
 
 @dataclass
 class FormulaVectorProvider:
-    """Resolves formulae to vectors: the trained row if the formula was in
-    the training corpus, else an inference seeded by the table's seed and
-    the content (the space-joined surfaces), memoised by content."""
+    """Resolves formulae to vectors: the trained row if the formula was in the
+    training corpus, else infer_vector's with infer_steps steps and the seed
+    _content_seed(table's seed, formula), memoised by content (the surfaces)."""
 
     table: EmbeddingTable
     infer_steps: int = DEFAULT_INFER_STEPS
@@ -222,7 +222,7 @@ class FormulaVectorProvider:
             inferred = infer_vectors(
                 [f.tokens for f in pending.values()], self.table,
                 [_content_seed(self.table.config.seed, f) for f in pending.values()],
-                steps=self.infer_steps, lr=self.table.config.lr_start)
+                steps=self.infer_steps)
             self._inferred.update(zip(pending, inferred))
         return [self._inferred[key] if vec is None else vec
                 for key, vec in zip(keys, trained)]
@@ -342,8 +342,8 @@ class RankedList:
 
 
 def _minmax(raw: np.ndarray) -> np.ndarray:
-    """Scores mapped affinely onto [0, 1]; all 0 when they are constant."""
-    lo, hi = raw.min(), raw.max()
+    """Scores mapped affinely onto [0, 1]; all 0 when they are constant, none when empty."""
+    lo, hi = raw.min(initial=np.inf), raw.max(initial=-np.inf)
     if hi == lo:
         return np.zeros(len(raw))
     return (raw - lo) / (hi - lo)

@@ -296,12 +296,13 @@ def oracle_infer_vector(surfaces, table, steps, lr, seed):
     return v
 
 
-def oracle_infer_block(seqs, seeds, table, words, outputs, steps, lr):
+def oracle_infer_block(seqs, seeds, table, words, outputs, steps):
     """The lockstep inference loop as it stood before the frozen quantities
     left it: a drop-in for embeddings._infer_block that rebuilds each step's
     context with _windows and applies the whole frozen SGD step (context
     mean, sigmoid step, np.add.at into the formula rows), in the operation
-    order whose results the production loop must reproduce bit for bit."""
+    order whose results the production loop must reproduce bit for bit.  The
+    rate falls from the table's lr_start to its lr_end."""
     from mathemb.embeddings import _lay_out, _negatives, _windows
 
     config = table.config
@@ -321,7 +322,7 @@ def oracle_infer_block(seqs, seeds, table, words, outputs, steps, lr):
 
     flat, starts = _lay_out(seqs, window, pad)
     doc_rows = np.arange(len(seqs))
-    lr_end = min(lr, config.lr_end)
+    lr, lr_end = config.lr_start, config.lr_end
     totals = np.maximum(1, n_steps - 1)
     active = len(seqs)
     for step in range(int(n_steps[0])):

@@ -375,6 +375,20 @@ class TestPipeline:
         assert err.startswith(f"error: {queries}:1: query_id must not start with '#'")
         assert err.count("\n") == 1 and not (tmp_path / "r.run").exists()
 
+    def test_combined_on_an_empty_store_writes_an_empty_run(self, pipeline, tmp_path, capsys):
+        # no pages: every method ranks nothing, and combined exits 0 as lm does
+        collection, store, index = (tmp_path / name for name in ("c.jsonl", "c.store", "t.index"))
+        collection.write_text("")
+        assert main(["ingest", "--collection", str(collection), "--out", str(store)]) == 0
+        assert main(["index-text", "--store", str(store), "--out", str(index)]) == 0
+        for method in ("lm", "combined"):
+            out = tmp_path / f"{method}.run"
+            capsys.readouterr()
+            assert main(["search", "--store", str(store), "--queries", str(QUERIES_PATH),
+                         "--method", method, "--model", str(pipeline["f2v"]),
+                         "--index", str(index), "--out", str(out)]) == 0, capsys.readouterr().err
+            assert self.run_lines(out) == []
+
     def test_search_mu_defaults_to_index_mu(self, pipeline, tmp_path):
         index5 = tmp_path / "mu5.index"
         assert main(["index-text", "--store", str(pipeline["store"]), "--out", str(index5),
@@ -645,6 +659,20 @@ class TestCorruptArtifacts:
                      "--out", str(report)]) == 1
         assert capsys.readouterr().err == f"error: {run}:{at + 1}: score 'nan' is not finite\n"
         assert not report.exists()
+
+    def test_filter_rejects_a_formula_id_with_whitespace(self, pipeline, tmp_path, capsys):
+        # a formula id a model's .dv.txt label could not hold: the store's
+        # own line is named, before any model is trained from it
+        store, out = tmp_path / "c.store", tmp_path / "out.corpus"
+        text = pipeline["store"].read_text().replace('"Trig_Addition#f0"', '"Trig Addition#f0"')
+        store.write_text(text)
+        at = next(i for i, ln in enumerate(text.splitlines()) if '"id":"Trig Addition#f0"' in ln)
+        capsys.readouterr()
+        assert main(["filter", "--store", str(store), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {store}:{at + 1}: formula id must be a non-empty string without "
+            "whitespace, got 'Trig Addition#f0'\n")
+        assert not out.exists()
 
     def test_search_rejects_a_repeated_formula_record(self, pipeline, tmp_path, capsys):
         # a second record for a formula id, holding other surfaces

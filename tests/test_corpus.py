@@ -262,6 +262,31 @@ class TestPersistence:
                            match=f"train.txt:{len(lines)}: duplicate formula id '{fid}'"):
             load_training_corpus(p)
 
+    @pytest.mark.parametrize("value,shown", [("a b", "'a b'"), ("", "''"), (7, "7")],
+                             ids=["space", "empty", "number"])
+    @pytest.mark.parametrize("store", ["collection", "training-corpus"])
+    def test_malformed_formula_id_rejected_with_line(self, fixture_collection,
+                                                     fixture_train_corpus, tmp_path,
+                                                     store, value, shown):
+        # the first formula record with its id replaced, which a .dv.txt
+        # label could not hold; the store names it, not the model
+        p = tmp_path / "store.txt"
+        if store == "collection":
+            save_collection(fixture_collection, p)
+            load = load_collection
+        else:
+            save_training_corpus(fixture_train_corpus, p)
+            load = load_training_corpus
+        lines = p.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if '"surfaces"' in line)
+        record = json.loads(lines[at])
+        record["id"] = value
+        lines[at] = json.dumps(record)
+        p.write_text("\n".join(lines) + "\n")
+        message = f"formula id must be a non-empty string without whitespace, got {shown}"
+        with pytest.raises(MalformedRecord, match=f"store.txt:{at + 1}: {message}$"):
+            load(p)
+
     def test_training_corpus_round_trip(self, fixture_train_corpus, tmp_path):
         p1 = tmp_path / "t1.txt"
         p2 = tmp_path / "t2.txt"

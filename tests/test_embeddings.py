@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,11 @@ from oracles import (
 
 def sigma(x):
     return 1.0 / (1.0 + math.exp(-x))
+
+
+def at_rate(table, lr_start):
+    """A copy of a trained table whose model runs at another starting rate."""
+    return replace(table, config=replace(table.config, lr_start=lr_start))
 
 
 def small_corpus(n=12):
@@ -594,8 +600,8 @@ class TestInference:
 
     def test_matches_single_position_oracle(self, trained_formula_table, fixture_collection):
         formulae = list(fixture_collection.formulas.values())[:8]
-        got = infer_vectors([f.tokens for f in formulae], trained_formula_table,
-                            range(8), steps=3, lr=0.05)
+        table = at_rate(trained_formula_table, 0.05)
+        got = infer_vectors([f.tokens for f in formulae], table, range(8), steps=3)
         for seed, (f, vec) in enumerate(zip(formulae, got)):
             want = oracle_infer_vector(f.surfaces, trained_formula_table, 3, 0.05, seed)
             np.testing.assert_allclose(vec, want, rtol=0, atol=1e-12)
@@ -635,9 +641,10 @@ class TestInference:
         toks = [formulae[i % len(formulae)].tokens for i in range(n)]
         assert len({len(t) for t in toks}) > 1 or n == 1
         seeds = [1000 + i for i in range(n)]
-        got = infer_vectors(toks, trained_formula_table, seeds, steps=steps, lr=0.05)
+        table = at_rate(trained_formula_table, 0.05)
+        got = infer_vectors(toks, table, seeds, steps=steps)
         monkeypatch.setattr(embeddings, "_infer_block", oracle_infer_block)
-        want = infer_vectors(toks, trained_formula_table, seeds, steps=steps, lr=0.05)
+        want = infer_vectors(toks, table, seeds, steps=steps)
         assert len(got) == n
         for a, b in zip(got, want):
             assert (a is None and b is None) or np.array_equal(a, b)
@@ -764,8 +771,7 @@ class TestInference:
         other = fixture_train_corpus[9]
         margins = []
         for seed in range(10):
-            v = infer_vector(target.tokens, trained_formula_table, steps=50,
-                             lr=0.1, seed=seed)
+            v = infer_vector(target.tokens, trained_formula_table, steps=50, seed=seed)
             own = cosine(v, trained_formula_table.formula_vector(target.id))
             rand = cosine(v, trained_formula_table.formula_vector(other.id))
             margins.append(own - rand)

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from mathemb import artifacts
 from mathemb.corpus import Collection, Page, Query, normalize_text
+from mathemb.embeddings import infer_vector
 from mathemb.errors import (
     DuplicatePageId, MalformedRecord, NegativeAlpha, NoQueryFormulae, UnknownPage, ZeroVector,
 )
 from mathemb.retrieval import (
-    NO_FORMULA_FLOOR, FormulaVectorProvider, RankedList, RankMethod, TextIndex, _minmax,
-    combined_score, formula_page_score, lm_score, rank_pages, rank_queries, write_run,
+    NO_FORMULA_FLOOR, FormulaVectorProvider, RankedList, RankMethod, TextIndex, _content_seed,
+    _minmax, combined_score, formula_page_score, lm_score, rank_pages, rank_queries, write_run,
 )
 from mathemb.tokenizer import TokenizedFormula, tokenize
 
@@ -339,6 +340,11 @@ class TestMinMax:
     def test_constant_scores_map_to_zero(self):
         assert _minmax(np.array([3.0, 3.0])).tolist() == [0.0, 0.0]
 
+    def test_no_scores_map_to_none(self):
+        # a store with no pages gives every query an empty score array
+        out = _minmax(np.array([]))
+        assert out.shape == (0,) and out.dtype == np.float64
+
     def test_range(self):
         out = _minmax(np.array([-5.0, 1.0, 3.0]))
         assert out[0] == 0.0 and out[2] == 1.0 and 0.0 < out[1] < 1.0
@@ -534,6 +540,19 @@ class TestProvider:
         p = FormulaVectorProvider(trained_formula_table, infer_steps=10)
         f = TokenizedFormula("a#f0", tokenize("\\nosuchtok \\another"))
         assert p.vector_for(f) is None
+
+    def test_unseen_formula_is_a_lone_inference(self, trained_formula_table,
+                                                fixture_collection):
+        # inference runs at the model's own rate, so an unseen formula's
+        # search vector is infer_vector's under the search's content seed
+        unseen = [f for f in fixture_collection.formulas.values()
+                  if trained_formula_table.formula_vector(f.id) is None]
+        assert unseen
+        for f in unseen:
+            seed = _content_seed(trained_formula_table.config.seed, f)
+            alone = infer_vector(f.tokens, trained_formula_table, seed=seed)
+            searched = FormulaVectorProvider(trained_formula_table).vectors_for([f])[0]
+            assert np.array_equal(alone, searched), f.id
 
 
 class TestRunFile:
