@@ -3,10 +3,10 @@
 
 Pair i runs, in each tree,
 
-  python3 perfbench/run.py --workload NAME --seed SEED+i --seconds S --trace 0
+  python3 perfbench/run.py --workload NAME --seed 21001+i --seconds S --trace 0
 
-(the command of BENCHMARK.json), the parent first when i is even and the
-change first when i is odd.  Each run's last stdout line is its JSON result;
+(the command of BENCHMARK.json, S its `run_seconds`), the parent first when i
+is even and the change first when i is odd.  Each run's last stdout line is its JSON result;
 a run that exits non-zero, reports correct: false or has failed commands
 stops the set with exit 1, naming the run.
 
@@ -19,7 +19,7 @@ marked WORSE.  Use a copy of one tree as both sides for an A/A set, which
 shows how far this host's runs spread.
 
 Usage: python3 scripts/bench_pairs.py --parent DIR --change DIR --workload NAME
-       [--pairs 4] [--seconds 50] [--seed 21001]
+       [--pairs 10]
 """
 
 import argparse
@@ -28,6 +28,9 @@ import pathlib
 import statistics
 import subprocess
 import sys
+
+SEED = 21001  # the seed of pair 0
+MIN_PAIRS = 10
 
 
 def run_once(tree: pathlib.Path, command, workload: str, seed: int, seconds: float) -> dict:
@@ -58,27 +61,27 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, type=pathlib.Path, help="parent checkout")
     ap.add_argument("--change", required=True, type=pathlib.Path, help="changed checkout")
     ap.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
-    ap.add_argument("--pairs", type=int, default=4, help="pairs of runs, >= 2 (default 4)")
-    ap.add_argument("--seconds", type=float, default=50, help="seconds per run (default 50)")
-    ap.add_argument("--seed", type=int, default=21001, help="seed of pair 0 (default 21001)")
+    ap.add_argument("--pairs", type=int, default=MIN_PAIRS,
+                    help=f"pairs of runs, >= {MIN_PAIRS} (default {MIN_PAIRS})")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be >= 2")
+    if args.pairs < MIN_PAIRS:
+        ap.error(f"--pairs must be >= {MIN_PAIRS}")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     if args.workload not in [w["name"] for w in spec["workloads"]]:
         ap.error(f"--workload must be one of {[w['name'] for w in spec['workloads']]}")
+    seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
-        seed = args.seed + i
+        seed = SEED + i
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             print(f"pair {i}, seed {seed}: {side}", file=sys.stderr, flush=True)
             runs[side].append(run_once(sides[side], spec["command"], args.workload, seed,
-                                       args.seconds))
+                                       seconds))
 
-    print(f"{args.workload}: {args.pairs} pairs at {args.seconds:g} s, "
-          f"seeds {args.seed}-{args.seed + args.pairs - 1}")
+    print(f"{args.workload}: {args.pairs} pairs at {seconds:g} s, "
+          f"seeds {SEED}-{SEED + args.pairs - 1}")
     print(f"{'metric':<28} {'parent':>12} {'change':>12} {'ratio':>7} "
           f"{'parent IQR':>10} {'won':>6}")
     for metric in spec["end_to_end"]:

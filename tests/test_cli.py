@@ -375,19 +375,29 @@ class TestPipeline:
         assert err.startswith(f"error: {queries}:1: query_id must not start with '#'")
         assert err.count("\n") == 1 and not (tmp_path / "r.run").exists()
 
-    def test_combined_on_an_empty_store_writes_an_empty_run(self, pipeline, tmp_path, capsys):
-        # no pages: every method ranks nothing, and combined exits 0 as lm does
+    def test_every_method_on_an_empty_store_writes_an_empty_run(self, pipeline, tmp_path,
+                                                                 capsys):
+        # no pages: every method ranks nothing and exits 0, combined included
         collection, store, index = (tmp_path / name for name in ("c.jsonl", "c.store", "t.index"))
         collection.write_text("")
         assert main(["ingest", "--collection", str(collection), "--out", str(store)]) == 0
         assert main(["index-text", "--store", str(store), "--out", str(index)]) == 0
-        for method in ("lm", "combined"):
+        for method in ("lm", "formula2vec", "combined"):
             out = tmp_path / f"{method}.run"
             capsys.readouterr()
             assert main(["search", "--store", str(store), "--queries", str(QUERIES_PATH),
                          "--method", method, "--model", str(pipeline["f2v"]),
                          "--index", str(index), "--out", str(out)]) == 0, capsys.readouterr().err
             assert self.run_lines(out) == []
+        # an alpha sweep ranks with combined too, and scores 0 at every value
+        out = tmp_path / "sweep.tsv"
+        assert main(["sweep", "--axis", "alpha", "--values", "0,4", "--store", str(store),
+                     "--corpus", str(pipeline["train"]), "--queries", str(QUERIES_PATH),
+                     "--qrels", str(QRELS_PATH), "--dim", "8", "--epochs", "1",
+                     "--out", str(out)]) == 0, capsys.readouterr().err
+        rows = [ln.split("\t") for ln in self.run_lines(out)[1:]]
+        assert [row[0] for row in rows] == ["0", "4"]
+        assert all(float(value) == 0 for row in rows for value in row[1:])
 
     def test_search_mu_defaults_to_index_mu(self, pipeline, tmp_path):
         index5 = tmp_path / "mu5.index"
