@@ -73,6 +73,11 @@ def cosine(u, v) -> float:
     return min(1.0, max(-1.0, float(u @ v) / math.sqrt(uu * vv)))
 
 
+def string_rank(labels) -> np.ndarray:
+    """Each label's place in Python string order: a ranking's tie-break key."""
+    return np.argsort(sorted(range(len(labels)), key=labels.__getitem__))
+
+
 @dataclass
 class NeighborList:
     query: str
@@ -98,8 +103,7 @@ def neighbor_lists(table: EmbeddingTable, surfaces, k: int) -> list[NeighborList
     live = np.flatnonzero(np.any(x, axis=1))
     at = np.full(len(vocab), -1)                # row -> its place in live, -1 if zero
     at[live] = np.arange(len(live))
-    # each live row's place in surface order: the tie-break as one integer key
-    rank = np.argsort(sorted(range(len(vocab)), key=vocab.surfaces.__getitem__))[live]
+    rank = string_rank(vocab.surfaces)[live]    # the tie-break as one integer key
     unit = None     # normalised at the first valid query, so its checks come first
     out = []
     for surface in surfaces:

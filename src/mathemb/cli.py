@@ -52,21 +52,30 @@ _RULES = {
     "be finite and >= 0": lambda v: 0 <= v < math.inf,
     "be integers >= 1": lambda v: v.is_integer() and v >= 1,
     "be one or more integers >= 1": lambda raw: min(_split(raw, int), default=0) >= 1,
-    "hold at least one value": lambda raw: bool(_split(raw)),
+    "hold at least one value": lambda raw: any(v.strip() for v in raw.split(",")),
     "be non-empty and hold no whitespace": lambda v: v.split() == [v],
 }
 
 
+def _passes(rule, value) -> bool:
+    """rule(value), False where value does not parse."""
+    try:
+        return rule(value)
+    except ValueError:
+        return False
+
+
 class _Checked(argparse.Action):
     """Stores a flag's value if it passes the rule named by must=, else raises
-    ValueError; a value from a config file is checked as a typed one is."""
+    ValueError; a value from a config file is checked as a typed one is, and
+    one that does not parse fails the rule."""
 
     def __init__(self, *args, must: str, **kwargs):
         super().__init__(*args, **kwargs)
         self.must = must
 
     def __call__(self, parser, namespace, value, option_string=None):
-        if not _RULES[self.must](value):
+        if not _passes(_RULES[self.must], value):
             raise ValueError(f"{option_string} must {self.must}")
         setattr(namespace, self.dest, value)
 
@@ -287,7 +296,7 @@ def _check_sweep_values(args) -> None:
     """The training flags' rules, then sweep --values's, which depends on --axis."""
     _training_config(args)
     must = "be integers >= 1" if args.axis == "dimension" else "be finite and >= 0"
-    if not all(map(_RULES[must], _split(args.values))):
+    if not _passes(lambda raw: all(map(_RULES[must], _split(raw))), args.values):
         raise ValueError(f"--values must {must}")
 
 

@@ -49,7 +49,7 @@ step gathers its window sums and updates the formula vectors, nothing more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -101,16 +101,11 @@ class TrainingConfig:
             raise ValueError("need lr_start >= lr_end > 0")
 
     def to_json_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in
-             ("dim", "window", "negatives", "epochs", "lr_start", "lr_end", "seed")}
-        d["mode"] = self.mode.value
-        return d
+        return {**asdict(self), "mode": self.mode.value}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainingConfig":
-        d = dict(d)
-        d["mode"] = Mode(d["mode"])
-        return cls(**d)
+        return cls(**{**d, "mode": Mode(d["mode"])})
 
 
 @dataclass
@@ -622,6 +617,9 @@ def load_table(prefix) -> EmbeddingTable:
     wv_labels, input_vectors = artifacts.read_vectors(f"{prefix}.wv.txt")
     if wv_labels != vocab.surfaces:
         raise MalformedRecord(f"{prefix}.wv.txt: surfaces do not match the stored vocabulary")
+    if input_vectors.shape[1] != config.dim:
+        raise MalformedRecord(f"{prefix}.wv.txt: dim {input_vectors.shape[1]} differs "
+                              f"from {prefix}.meta.txt dim {config.dim}")
     ctx_labels, context_vectors = artifacts.read_vectors(f"{prefix}.ctx.txt")
     if ctx_labels != vocab.surfaces or context_vectors.shape != input_vectors.shape:
         raise MalformedRecord(f"{prefix}.ctx.txt: rows do not match {prefix}.wv.txt")

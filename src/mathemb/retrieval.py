@@ -14,7 +14,7 @@ Three methods share one entry point, rank_queries:
 Ranking runs on arrays: TextIndex holds the term counts as a page-major CSR
 (the file keeps one JSON record per page), one lm_score call per query
 scores every page with one vector expression per keyword, and np.lexsort
-orders pages by (-C, page_id), the ids as integer ranks (page_rank).
+orders pages by (-C, page_id), the ids as integer ranks (string_rank).
 
 Formula vectors come from the trained table when the formula was part of the
 training corpus and are inferred (deterministically, seeded by content)
@@ -40,7 +40,7 @@ from itertools import chain, count, islice
 import numpy as np
 
 from . import artifacts
-from .analysis import unit_rows
+from .analysis import string_rank, unit_rows
 from .corpus import Collection, Page, Query
 from .embeddings import EmbeddingTable, Mode, infer_vectors
 from .errors import (
@@ -349,11 +349,6 @@ def _minmax(raw: np.ndarray) -> np.ndarray:
     return (raw - lo) / (hi - lo)
 
 
-def page_rank(page_ids) -> np.ndarray:
-    """Each page id's place in Python string order: the ranking's tie-break key."""
-    return np.argsort(sorted(range(len(page_ids)), key=page_ids.__getitem__))
-
-
 def rank_queries(queries, collection: Collection, method: RankMethod,
                  provider: FormulaVectorProvider | None = None,
                  index: TextIndex | None = None,
@@ -365,7 +360,7 @@ def rank_queries(queries, collection: Collection, method: RankMethod,
     C = (F + alpha*T)/(1+alpha) exactly.  Every page and query formula is
     resolved in one provider.vectors_for call, and the page formulae form
     one FormulaMatrix.  Pages are ordered by (-C, page_id) with np.lexsort
-    over (-C, page_rank), computed once for all the queries.
+    over (-C, string_rank(page ids)), computed once for all the queries.
 
     A query with no usable formula (none at all, or none that resolves) is
     flagged no_formulae: FORMULA2VEC returns no pages for it, and COMBINED
@@ -379,7 +374,7 @@ def rank_queries(queries, collection: Collection, method: RankMethod,
 
     queries = list(queries)
     ids = [page.page_id for page in collection.pages]
-    rank, query_vectors = page_rank(ids), [[] for _ in queries]
+    rank, query_vectors = string_rank(ids), [[] for _ in queries]
     if uses_formulae:
         page_formulae = [collection.formulas[fid] for p in collection.pages
                          for fid in p.formula_ids]

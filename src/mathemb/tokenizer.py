@@ -1,6 +1,6 @@
 """LaTeX formula tokenizer and symbol classifier.
 
-A formula is scanned left to right into minimal symbol tokens:
+One pattern, _TOKEN_RE, describes every token; a formula is one pass of it:
 
   * whitespace (spaces, tabs, newlines) separates tokens and never appears
     inside a surface;
@@ -11,8 +11,8 @@ A formula is scanned left to right into minimal symbol tokens:
     one control symbol, and a backslash followed by whitespace or end of
     input raises UnterminatedCommand;
   * directly after ``\\begin`` or ``\\end`` (optionally separated by
-    whitespace) a group ``{name}`` whose name uses only ``[A-Za-z0-9*]`` is
-    emitted as a single environment token, braces included;
+    whitespace) a group ``{name}`` whose name holds only ASCII letters, digits
+    and ``*`` is emitted as a single environment token, braces included;
   * every other printable character is its own token; multi-digit numbers
     come out digit by digit.
 
@@ -90,16 +90,14 @@ _CLASS_TABLE = _build_class_table()
 
 _ASCII_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _DIGITS = frozenset("0123456789")
-_ENV_SHAPE = re.compile(r"\{[A-Za-z0-9*]+\}\Z")
+_ENV_NAME = r"\{[A-Za-z0-9*]+\}"
+_ENV_SHAPE = re.compile(_ENV_NAME + r"\Z")
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>%[^\n]*)"
-    r"|(?P<cmd>\\[A-Za-z]+)"
-    r"|(?P<csym>\\[^A-Za-z\s])"
-    r"|(?P<chr>\S)"
-)
-_ENV_RE = re.compile(r"\s*(\{[A-Za-z0-9*]+\})")
+# No group: whitespace and comments.  Group 1: \begin or \end; group 2: the
+# {name} after it, if any.  Group 3: any other token, a lone backslash as "\\".
+_TOKEN_RE = re.compile(r"\s+|%[^\n]*"
+                       rf"|(\\(?:begin|end)(?![A-Za-z]))(?:\s*({_ENV_NAME}))?"
+                       r"|(\\[A-Za-z]+|\\[^A-Za-z\s]|\S)")
 
 
 def classify(surface: str) -> TokenClass:
@@ -125,24 +123,16 @@ def tokenize_surfaces(latex: str | bytes) -> list[str]:
         except UnicodeDecodeError as exc:
             raise InvalidEncoding(str(exc)) from None
     out: list[str] = []
-    pos = 0
-    n = len(latex)
-    while pos < n:
-        m = _TOKEN_RE.match(latex, pos)
-        pos = m.end()
-        kind = m.lastgroup
-        if kind in ("ws", "comment"):
-            continue
-        tok = m.group()
-        if tok == "\\":
-            # a bare backslash only matches <chr>: nothing printable followed it
-            raise UnterminatedCommand(f"lone backslash at offset {m.start()}")
-        out.append(tok)
-        if tok in ("\\begin", "\\end"):
-            env = _ENV_RE.match(latex, pos)
-            if env:
-                out.append(env.group(1))
-                pos = env.end()
+    for m in _TOKEN_RE.finditer(latex):
+        tok = m[3]
+        if tok is not None:
+            if tok == "\\":
+                raise UnterminatedCommand(f"lone backslash at offset {m.start()}")
+            out.append(tok)
+        elif m[1] is not None:
+            out.append(m[1])
+            if m[2] is not None:
+                out.append(m[2])
     return out
 
 

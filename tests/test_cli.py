@@ -469,11 +469,15 @@ class TestPipeline:
         ("dimension", ["--values", "8,-8"], "integers >= 1"),
         ("dimension", ["--values", "nan"], "integers >= 1"),
         ("dimension", ["--values", "inf"], "integers >= 1"),
+        ("dimension", ["--values", "8,abc"], "integers >= 1"),
+        ("alpha", ["--values", "0,abc"], "finite and >= 0"),
         ("alpha", ["--ks", "30,0"], "one or more integers >= 1"),
+        ("alpha", ["--ks", "30,abc"], "one or more integers >= 1"),
     ], ids=["steps-negative", "threshold-zero", "values-nan", "values-inf", "values-negative",
             "mu-inf", "dimension-steps-negative", "dimension-values-fraction",
             "dimension-values-zero", "dimension-values-negative", "dimension-values-nan",
-            "dimension-values-inf", "ks-zero"])
+            "dimension-values-inf", "dimension-values-not-a-number", "values-not-a-number",
+            "ks-zero", "ks-not-a-number"])
     def test_sweep_rejects_out_of_range_values(self, pipeline, tmp_path, capsys,
                                                axis, extra, rule):
         out = tmp_path / "sweep.tsv"
@@ -556,7 +560,7 @@ class TestPipeline:
             assert capsys.readouterr().err == "error: --mu must be finite and > 0\n"
             assert not out.exists()
 
-    @pytest.mark.parametrize("ks", ["0", "30,0", "-5", ",", ""])
+    @pytest.mark.parametrize("ks", ["0", "30,0", "-5", ",", "", "30,abc", "1.5"])
     def test_evaluate_rejects_bad_ks(self, pipeline, tmp_path, capsys, ks):
         out = tmp_path / "report.tsv"
         assert main(["evaluate", "--run", str(pipeline["run_lm"]), "--qrels", str(QRELS_PATH),
@@ -615,6 +619,28 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths[artifact]}:{line_no}: "), err
         assert err.count("\n") == 1
+
+    def test_model_width_must_match_its_config(self, pipeline, tmp_path, capsys):
+        # every vector file cut to 4 entries a row, the meta still at the trained dim
+        model = tmp_path / "f2v"
+        meta = pipeline["f2v"].with_name("f2v.meta.txt").read_text()
+        (tmp_path / "f2v.meta.txt").write_text(meta)
+        for part in ("wv", "ctx", "dv"):
+            lines = pipeline["f2v"].with_name(f"f2v.{part}.txt").read_text().splitlines()
+            at = next(i for i, ln in enumerate(lines) if ln[:1].isdigit())  # the count line
+            lines[at] = f"{lines[at].split()[0]} 4"
+            lines[at + 1:] = [" ".join(ln.split(" ")[:5]) for ln in lines[at + 1:]]
+            (tmp_path / f"f2v.{part}.txt").write_text("\n".join(lines) + "\n")
+        dim = json.loads(meta.splitlines()[1])["config"]["dim"]
+        capsys.readouterr()
+        for argv in (["search", "--store", str(pipeline["store"]), "--queries", str(QUERIES_PATH),
+                      "--method", "formula2vec", "--model", str(model),
+                      "--out", str(tmp_path / "r.run")],
+                     ["neighbors", "--model", str(model), "--symbol", "x"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: {model}.wv.txt: dim 4 differs from {model}.meta.txt dim {dim}\n")
+        assert not (tmp_path / "r.run").exists()
 
     @pytest.mark.parametrize("artifact", ["store", "index"])
     def test_search_rejects_a_repeated_page_record(self, pipeline, tmp_path, capsys, artifact):

@@ -126,7 +126,27 @@ class TestGoldenFile:
             assert passes_filter(tokenize(latex)) == reference_passes_filter(latex), latex
 
 
+# printable ASCII plus the fragments where the environment and backslash
+# rules meet: a property draws its text from these
+_FRAGMENTS = ["\\begin", "\\end", "\\beginx", "{x}", "{a*}", "{a b}", "\\%", "\\\\",
+              "\u00e9", "\x00"]
+_MIXED_TEXT = st.lists(st.sampled_from(list(string.printable) + _FRAGMENTS),
+                       max_size=60).map("".join)
+
+
 class TestProperties:
+    @given(_MIXED_TEXT)
+    @settings(max_examples=500)
+    def test_agrees_with_reference(self, text):
+        # the same surfaces, or UnterminatedCommand exactly where the oracle raises
+        try:
+            expected = reference_tokenize(text)
+        except ValueError:
+            with pytest.raises(UnterminatedCommand):
+                tokenize_surfaces(text)
+            return
+        assert tokenize_surfaces(text) == expected
+
     @given(st.text(alphabet=string.printable, max_size=120))
     @settings(max_examples=300)
     def test_fuzz_total(self, text):
