@@ -15,8 +15,10 @@ parent and change medians, their ratio (change / parent), the parent's
 interquartile spread as a share of its median, and the pairs the change won
 (ties count for neither side; the direction comes from `better`).  A metric
 whose change median is worse than the parent's by more than its `bound` is
-marked WORSE.  Use a copy of one tree as both sides for an A/A set, which
-shows how far this host's runs spread.
+marked WORSE.  One whose parent spread is wider than its bound is marked
+UNRESOLVED, unless every change run beats every parent run: its runs cannot
+tell a change within the bound from none.  Use a copy of one tree as both
+sides for an A/A set, which shows how far this host's runs spread.
 
 Usage: python3 scripts/bench_pairs.py --parent DIR --change DIR --workload NAME
        [--pairs 10]
@@ -56,6 +58,23 @@ def run_once(tree: pathlib.Path, command, workload: str, seed: int, seconds: flo
     return {k: m["value"] for k, m in result["metrics"].items()}
 
 
+def metric_row(metric: dict, parent: list, change: list) -> str:
+    """The table row of one end-to-end metric of BENCHMARK.json, from its
+    parent and change values, pair i at index i of each."""
+    name, bound, higher = metric["name"], metric["bound"], metric["better"] == "higher"
+    # quartiles and median, interpolated between the runs
+    q1, p_med, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    c_med = statistics.median(change)
+    won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    worse = c_med < p_med * (1 - bound) if higher else c_med > p_med * (1 + bound)
+    apart = min(change) > max(parent) if higher else max(change) < min(parent)
+    spread = (q3 - q1) / p_med
+    unresolved = spread > bound and not apart
+    return (f"{name:<28} {p_med:>12.5g} {c_med:>12.5g} {c_med / p_med:>7.3f} "
+            f"{spread:>10.1%} {won:>3}/{len(parent)}"
+            + "  WORSE" * worse + "  UNRESOLVED" * unresolved)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=pathlib.Path, help="parent checkout")
@@ -85,18 +104,8 @@ def main(argv=None) -> int:
     print(f"{'metric':<28} {'parent':>12} {'change':>12} {'ratio':>7} "
           f"{'parent IQR':>10} {'won':>6}")
     for metric in spec["end_to_end"]:
-        name, higher = metric["name"], metric["better"] == "higher"
-        parent = [r[name] for r in runs["parent"]]
-        change = [r[name] for r in runs["change"]]
-        # quartiles and median, interpolated between the runs
-        q1, p_med, q3 = statistics.quantiles(parent, n=4, method="inclusive")
-        c_med = statistics.median(change)
-        won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-        worse = (c_med < p_med * (1 - metric["bound"]) if higher
-                 else c_med > p_med * (1 + metric["bound"]))
-        print(f"{name:<28} {p_med:>12.5g} {c_med:>12.5g} {c_med / p_med:>7.3f} "
-              f"{(q3 - q1) / p_med:>10.1%} "
-              f"{won:>3}/{args.pairs}" + ("  WORSE" if worse else ""))
+        print(metric_row(metric, [r[metric["name"]] for r in runs["parent"]],
+                         [r[metric["name"]] for r in runs["change"]]))
     return 0
 
 

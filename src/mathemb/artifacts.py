@@ -151,6 +151,8 @@ def read_vectors(path, header: str | None = None):
         n, dim = (int(x) for x in lines[pos].split())
     except (IndexError, ValueError):
         raise MalformedRecord(f"{path}:{pos + 1}: expected a count line 'rows dim'") from None
+    if n < 0 or dim < 1:
+        raise MalformedRecord(f"{path}:{pos + 1}: count line needs rows >= 0 and dim >= 1")
     if len(lines) - pos - 1 < n:
         raise MalformedRecord(f"{path}:{len(lines)}: count line promises {n} rows, file has "
                               f"{len(lines) - pos - 1}")

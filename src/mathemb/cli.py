@@ -158,17 +158,13 @@ def build_parser():
     p.add_argument("--store", required=True, help="collection store")
     p.add_argument("--out", required=True, help="output training corpus")
 
-    p = add("train-symbol2vec", "train symbol vectors (CBOW, negative sampling)", _cmd_train,
-            check=_training_config)
-    p.add_argument("--corpus", required=True, help="training corpus file")
-    p.add_argument("--out", required=True, help="model file prefix")
-    _add_training_flags(p, default_dim=100)
-
-    p = add("train-formula2vec", "train formula vectors (PV-DM)", _cmd_train,
-            check=_training_config)
-    p.add_argument("--corpus", required=True, help="training corpus file")
-    p.add_argument("--out", required=True, help="model file prefix")
-    _add_training_flags(p, default_dim=300)
+    for mode, help_text, dim in (
+            ("symbol2vec", "train symbol vectors (CBOW, negative sampling)", 100),
+            ("formula2vec", "train formula vectors (PV-DM)", 300)):
+        p = add(f"train-{mode}", help_text, _cmd_train, check=_training_config)
+        p.add_argument("--corpus", required=True, help="training corpus file")
+        p.add_argument("--out", required=True, help="model file prefix")
+        _add_training_flags(p, default_dim=dim)
 
     p = add("neighbors", "nearest symbols by cosine, as TSV", _cmd_neighbors)
     p.add_argument("--model", required=True, help="model file prefix")
@@ -211,14 +207,9 @@ def build_parser():
                    must="be non-empty and hold no whitespace", help="run tag (default mathemb)")
     p.add_argument("--out", required=True, help="output run file")
 
-    p = add("evaluate", "score a run file against qrels", _cmd_evaluate)
-    p.add_argument("--run", required=True, help="TREC run file")
-    p.add_argument("--qrels", required=True, help="TREC qrels file")
-    p.add_argument("--ks", default="30,50", action=_Checked, must="be one or more integers >= 1",
-                   help="cutoffs for NDCG@k/P@k (default 30,50)")
-    p.add_argument("--threshold", type=int, default=1, action=_Checked, must="be >= 1",
-                   help="relevance binarization grade (default 1)")
-    p.add_argument("--out", default=None, help="output TSV (default stdout)")
+    evaluate = add("evaluate", "score a run file against qrels", _cmd_evaluate)
+    evaluate.add_argument("--run", required=True, help="TREC run file")
+    evaluate.add_argument("--qrels", required=True, help="TREC qrels file")
 
     p = add("sweep", "train/rank/evaluate across dimensions or alpha values", _cmd_sweep,
             check=_check_sweep_values)
@@ -235,11 +226,13 @@ def build_parser():
                    help="Dirichlet smoothing mass on the alpha axis (default 2000)")
     p.add_argument("--steps", type=int, default=50, action=_Checked, must="be >= 0",
                    help="inference passes for unseen formulae (default 50)")
-    p.add_argument("--ks", default="30,50", action=_Checked, must="be one or more integers >= 1",
-                   help="cutoffs for NDCG@k/P@k (default 30,50)")
-    p.add_argument("--threshold", type=int, default=1, action=_Checked, must="be >= 1",
-                   help="relevance binarization grade (default 1)")
-    p.add_argument("--out", default=None, help="output TSV (default stdout)")
+    for q in (evaluate, p):  # evaluate's last flags; sweep's before the training flags
+        q.add_argument("--ks", default="30,50", action=_Checked,
+                       must="be one or more integers >= 1",
+                       help="cutoffs for NDCG@k/P@k (default 30,50)")
+        q.add_argument("--threshold", type=int, default=1, action=_Checked, must="be >= 1",
+                       help="relevance binarization grade (default 1)")
+        q.add_argument("--out", default=None, help="output TSV (default stdout)")
     _add_training_flags(p, default_dim=300)
 
     return parser, sub.choices

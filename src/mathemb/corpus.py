@@ -27,7 +27,7 @@ from .errors import (
     MalformedRecord,
     MathembError,
 )
-from .tokenizer import SymbolToken, TokenizedFormula, classify, tokenize
+from .tokenizer import SymbolToken, TokenizedFormula, classify, passes_filter, tokenize
 
 CORPUS_HEADER = "MATHEMB-CORPUS v1"
 TRAIN_HEADER = "MATHEMB-TRAINCORPUS v1"
@@ -155,8 +155,6 @@ def ingest_queries(path) -> list[Query]:
 
 def filter_corpus(formulas) -> list[TokenizedFormula]:
     """Keep the formulae eligible for embedding training, order preserved."""
-    from .tokenizer import passes_filter
-
     return [f for f in formulas if passes_filter(f.tokens)]
 
 

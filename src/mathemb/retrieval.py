@@ -41,7 +41,7 @@ import numpy as np
 
 from . import artifacts
 from .analysis import string_rank, unit_rows
-from .corpus import Collection, Page, Query
+from .corpus import Collection, Page, Query, _check_id
 from .embeddings import EmbeddingTable, Mode, infer_vectors
 from .errors import (
     DimensionMismatch,
@@ -120,9 +120,9 @@ class TextIndex:
 
     @classmethod
     def load(cls, path) -> "TextIndex":
-        """Read an index, checking that each page's term counts are positive
-        integers summing to its length, and the collection length the sum of
-        the page lengths."""
+        """Read an index, checking each page's id as the store does, that its
+        tf is an object of positive integer counts summing to its length, and
+        the collection length the sum of the page lengths."""
         stats: dict = {}
         pages: dict[str, dict] = {}
 
@@ -132,7 +132,10 @@ class TextIndex:
                 if not 0 < stats["mu"] < math.inf:
                     raise MalformedRecord(f"mu must be > 0 and finite, got {stats['mu']}")
                 return
-            page_id, tf, length = rec["page_id"], dict(rec["tf"]), int(rec["length"])
+            page_id, tf = _check_id(rec["page_id"], "page_id"), rec["tf"]
+            length = int(rec["length"])
+            if not isinstance(tf, dict):
+                raise MalformedRecord(f"page {page_id!r}: tf must be an object")
             if page_id in pages:
                 raise DuplicatePageId(f"duplicate page_id {page_id!r}")
             if not all(type(c) is int and c > 0 for c in tf.values()):

@@ -2,6 +2,7 @@
 session-scoped trained tables (training is the slow part, so reuse them)."""
 
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -15,16 +16,19 @@ from mathemb.retrieval import TextIndex
 from mathemb.tokenizer import TokenizedFormula, tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FIXTURE_DIR = ROOT / "data" / "fixture"
+sys.path.insert(0, str(ROOT / "scripts"))
+
+from run_pipeline import DIM, EPOCHS, FIXTURE as FIXTURE_DIR, LR_START, run_pipeline  # noqa: E402
+
 TEST_DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 COLLECTION_PATH = FIXTURE_DIR / "collection.jsonl"
 QUERIES_PATH = FIXTURE_DIR / "queries.jsonl"
 QRELS_PATH = FIXTURE_DIR / "qrels.txt"
 
-# settings that give reliable family separation on the tiny bundled corpus
-FIXTURE_F2V = dict(dim=96, window=5, negatives=5, epochs=100,
-                   lr_start=0.1, lr_end=0.0001, mode=Mode.FORMULA2VEC)
+# the pipeline's formula2vec settings; window, negatives and lr_end are the CLI's defaults
+FIXTURE_F2V = dict(dim=DIM, window=5, negatives=5, epochs=EPOCHS,
+                   lr_start=LR_START, lr_end=0.0001, mode=Mode.FORMULA2VEC)
 
 
 @pytest.fixture(scope="session")
@@ -65,73 +69,25 @@ def trained_formula_table(fixture_train_corpus, fixture_vocab):
     return train_formula2vec(fixture_train_corpus, fixture_vocab, cfg)
 
 
+def run_full_pipeline(out_dir, seed=7, f2v_dim=DIM, f2v_epochs=EPOCHS, f2v_lr=LR_START,
+                      sweep_dims="10,50,100", sweep_alphas="0,1,4,1e6"):
+    """scripts/run_pipeline.py's pipeline into out_dir; returns {name: path}.
+
+    Raises StepFailed, naming the failing command, at its first non-zero exit.
+    """
+    return run_pipeline(out_dir, seed, f2v_dim, f2v_epochs, f2v_lr, sweep_dims, sweep_alphas)
+
+
+@pytest.fixture(scope="session")
+def pipeline(tmp_path_factory):
+    """The fixture pipeline's artifacts, trained small and swept over few values."""
+    out = tmp_path_factory.mktemp("pipeline")
+    return run_full_pipeline(out, f2v_dim=32, f2v_epochs=10,
+                             sweep_dims="8,16", sweep_alphas="0,4")
+
+
 # ---------------------------------------------------------------------------
 # synthetic corpora
-
-
-def run_full_pipeline(out_dir, seed=7, f2v_dim=96, f2v_epochs=100, f2v_lr=0.1,
-                      sweep_dims="10,50,100", sweep_alphas="0,1,4,1e6"):
-    """Drive every CLI stage on the bundled fixture; returns {name: path}.
-
-    Raises AssertionError on any non-zero exit so callers see the failing step.
-    """
-    from mathemb.cli import main
-
-    out_dir = pathlib.Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "store": out_dir / "collection.store",
-        "train": out_dir / "train.corpus",
-        "sym": out_dir / "sym",
-        "f2v": out_dir / "f2v",
-        "neighbors": out_dir / "neighbors.tsv",
-        "pca": out_dir / "pca.tsv",
-        "index": out_dir / "text.index",
-        "run_formula2vec": out_dir / "formula2vec.run",
-        "run_lm": out_dir / "lm.run",
-        "run_combined": out_dir / "combined.run",
-        "report_formula2vec": out_dir / "formula2vec.report.tsv",
-        "report_lm": out_dir / "lm.report.tsv",
-        "report_combined": out_dir / "combined.report.tsv",
-        "sweep_dimension": out_dir / "sweep_dimension.tsv",
-        "sweep_alpha": out_dir / "sweep_alpha.tsv",
-    }
-    s = str
-    steps = [
-        ["ingest", "--collection", s(COLLECTION_PATH), "--out", s(paths["store"])],
-        ["filter", "--store", s(paths["store"]), "--out", s(paths["train"])],
-        ["train-symbol2vec", "--corpus", s(paths["train"]), "--out", s(paths["sym"]),
-         "--dim", "100", "--epochs", "20", "--lr-start", "0.05", "--seed", s(seed)],
-        ["train-formula2vec", "--corpus", s(paths["train"]), "--out", s(paths["f2v"]),
-         "--dim", s(f2v_dim), "--epochs", s(f2v_epochs), "--lr-start", s(f2v_lr),
-         "--seed", s(seed)],
-        ["neighbors", "--model", s(paths["sym"]), "--symbol", "\\sin", "--k", "5",
-         "--out", s(paths["neighbors"])],
-        ["pca", "--model", s(paths["sym"]), "--out", s(paths["pca"])],
-        ["index-text", "--store", s(paths["store"]), "--out", s(paths["index"]),
-         "--mu", "2000"],
-    ]
-    for method in ("formula2vec", "lm", "combined"):
-        steps.append(["search", "--store", s(paths["store"]),
-                      "--queries", s(QUERIES_PATH), "--method", method,
-                      "--model", s(paths["f2v"]), "--index", s(paths["index"]),
-                      "--alpha", "4", "--mu", "2000",
-                      "--out", s(paths[f"run_{method}"])])
-        steps.append(["evaluate", "--run", s(paths[f"run_{method}"]),
-                      "--qrels", s(QRELS_PATH),
-                      "--out", s(paths[f"report_{method}"])])
-    common_sweep = ["--store", s(paths["store"]), "--corpus", s(paths["train"]),
-                    "--queries", s(QUERIES_PATH), "--qrels", s(QRELS_PATH),
-                    "--dim", s(f2v_dim), "--epochs", s(f2v_epochs),
-                    "--lr-start", s(f2v_lr), "--seed", s(seed)]
-    steps.append(["sweep", "--axis", "dimension", "--values", sweep_dims,
-                  *common_sweep, "--out", s(paths["sweep_dimension"])])
-    steps.append(["sweep", "--axis", "alpha", "--values", sweep_alphas,
-                  *common_sweep, "--out", s(paths["sweep_alpha"])])
-    for argv in steps:
-        code = main(argv)
-        assert code == 0, f"step failed ({code}): {' '.join(argv)}"
-    return paths
 
 
 CLUSTER_A = ["\\sin", "\\cos", "\\tan", "\\cot", "\\sec", "\\csc"]

@@ -8,9 +8,7 @@ import pytest
 
 from mathemb.cli import build_parser, main
 
-from conftest import (
-    COLLECTION_PATH, QRELS_PATH, QUERIES_PATH, ROOT, TEST_DATA, run_full_pipeline,
-)
+from conftest import COLLECTION_PATH, QRELS_PATH, QUERIES_PATH, ROOT, TEST_DATA
 
 
 def stdin_bytes(monkeypatch, data: bytes):
@@ -56,12 +54,8 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_invalid_training_flags_exit_two(tmp_path, capsys):
-    store = tmp_path / "s.store"
-    train = tmp_path / "t.corpus"
-    assert main(["ingest", "--collection", str(COLLECTION_PATH), "--out", str(store)]) == 0
-    assert main(["filter", "--store", str(store), "--out", str(train)]) == 0
-    code = main(["train-symbol2vec", "--corpus", str(train),
+def test_invalid_training_flags_exit_two(pipeline, tmp_path, capsys):
+    code = main(["train-symbol2vec", "--corpus", str(pipeline["train"]),
                  "--out", str(tmp_path / "m"), "--epochs", "0"])
     assert code == 2
 
@@ -115,12 +109,10 @@ def test_search_without_its_method_input_exits_two_before_reading(tmp_path, caps
 
 
 @pytest.mark.parametrize("power", ["nan", "inf", "1e308"])
-def test_degenerate_sample_power_exits_two(tmp_path, capsys, power):
-    store, train = tmp_path / "s.store", tmp_path / "t.corpus"
-    assert main(["ingest", "--collection", str(COLLECTION_PATH), "--out", str(store)]) == 0
-    assert main(["filter", "--store", str(store), "--out", str(train)]) == 0
+def test_degenerate_sample_power_exits_two(pipeline, tmp_path, capsys, power):
     capsys.readouterr()
-    assert main(["train-symbol2vec", "--corpus", str(train), "--out", str(tmp_path / "m"),
+    assert main(["train-symbol2vec", "--corpus", str(pipeline["train"]),
+                 "--out", str(tmp_path / "m"),
                  "--dim", "4", "--epochs", "1", f"--sample-power={power}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "sample" in err and err.count("\n") == 1
@@ -273,13 +265,6 @@ def test_python_dash_m(module):
     assert done.stdout.strip() == "mathemb 0.1.0"
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    out = tmp_path_factory.mktemp("pipeline")
-    return run_full_pipeline(out, f2v_dim=32, f2v_epochs=10,
-                             sweep_dims="8,16", sweep_alphas="0,4")
-
-
 class TestPipeline:
 
     def test_lm_run_is_byte_identical_to_golden_file(self, pipeline):
@@ -336,7 +321,8 @@ class TestPipeline:
         lines = [ln for ln in pipeline["neighbors"].read_text().splitlines()
                  if not ln.startswith("#")]
         assert lines[0] == "surface\trank\tneighbor\tcosine"
-        surface, rank, neighbor, cos = lines[1].split("\t")
+        rank_1 = {row[0]: row for row in (ln.split("\t") for ln in lines[1:]) if row[1] == "1"}
+        surface, rank, neighbor, cos = rank_1["\\sin"]
         assert surface == "\\sin" and rank == "1"
         float(cos)
 
@@ -591,10 +577,12 @@ class TestCorruptArtifacts:
         ("train", 3, '{"id":"x","surfaces":["x",["y"]]}'),
         ("train", 4, '{"id":"x","surfaces":["x",null]}'),
         ("index", 4, '{"length":'),
+        ("index", 4, '{"length":1,"page_id":7,"tf":{"a":1}}'),
+        ("index", 4, '{"length":1,"page_id":"Trig_Addition","tf":[["a",1]]}'),
         ("f2v_meta", 2, "{not json"),
     ], ids=["store-missing-field", "store-not-object", "store-number-surface",
             "corpus-missing-field", "corpus-list-surface", "corpus-null-surface",
-            "index-not-json", "meta-not-json"])
+            "index-not-json", "index-page-id-number", "index-tf-list", "meta-not-json"])
     def test_exit_one_with_path_and_line(self, pipeline, tmp_path, capsys,
                                          artifact, line_no, text):
         work = tmp_path / "pipeline"

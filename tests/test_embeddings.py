@@ -821,7 +821,11 @@ class TestPersistence:
         (".wv.txt", 3, lambda row: row.rsplit(" ", 1)[0]),
         (".ctx.txt", 4, lambda row: row.rsplit(" ", 1)[0] + " nan"),
         (".dv.txt", 5, lambda row: row + " 0.5"),
-    ], ids=["wv-entry-short", "ctx-nan-entry", "dv-entry-too-many"])
+        (".wv.txt", 2, lambda row: "-1 50"),
+        (".wv.txt", 2, lambda row: "3 -1"),
+        (".wv.txt", 2, lambda row: "0 -2"),
+    ], ids=["wv-entry-short", "ctx-nan-entry", "dv-entry-too-many", "wv-negative-rows",
+            "wv-negative-dim", "wv-no-rows-negative-dim"])
     def test_corrupt_row_rejected_with_line(self, trained_formula_table, tmp_path, capsys,
                                             ext, line, edit):
         prefix = tmp_path / "model"

@@ -14,7 +14,7 @@ import pytest
 from mathemb.cli import main
 from mathemb.retrieval import RankMethod, rank_pages
 
-from conftest import COLLECTION_PATH, QUERIES_PATH, ROOT
+from conftest import QUERIES_PATH, ROOT
 
 
 def load_spans():
@@ -45,19 +45,13 @@ def test_tracer_wraps_live_names_and_restores_them(fixture_collection, fixture_q
         assert owner.__dict__[attr] is original, attr
 
 
-def test_traced_search_reaches_its_layers(tmp_path, fixture_queries):
-    store, train, model, index = (tmp_path / n for n in ("store", "train", "f2v", "index"))
-    for argv in (["ingest", "--collection", str(COLLECTION_PATH), "--out", str(store)],
-                 ["filter", "--store", str(store), "--out", str(train)],
-                 ["train-formula2vec", "--corpus", str(train), "--out", str(model),
-                  "--dim", "8", "--epochs", "1"],
-                 ["index-text", "--store", str(store), "--out", str(index)]):
-        assert main(argv) == 0
+def test_traced_search_reaches_its_layers(pipeline, tmp_path, fixture_queries):
     tracer = load_spans().Tracer()
     tracer.install()
     try:
-        assert main(["search", "--store", str(store), "--queries", str(QUERIES_PATH),
-                     "--method", "combined", "--model", str(model), "--index", str(index),
+        assert main(["search", "--store", str(pipeline["store"]), "--queries", str(QUERIES_PATH),
+                     "--method", "combined", "--model", str(pipeline["f2v"]),
+                     "--index", str(pipeline["index"]),
                      "--out", str(tmp_path / "combined.run")]) == 0
     finally:
         tracer.uninstall()
@@ -69,16 +63,12 @@ def test_traced_search_reaches_its_layers(tmp_path, fixture_queries):
 
 
 @pytest.mark.parametrize("command", ["train-symbol2vec", "train-formula2vec"])
-def test_traced_training_reaches_its_layers(tmp_path, command):
+def test_traced_training_reaches_its_layers(pipeline, tmp_path, command):
     # the benchmark's per-layer training metrics come from these two spans
-    store, train = tmp_path / "store", tmp_path / "train"
-    for argv in (["ingest", "--collection", str(COLLECTION_PATH), "--out", str(store)],
-                 ["filter", "--store", str(store), "--out", str(train)]):
-        assert main(argv) == 0
     tracer = load_spans().Tracer()
     tracer.install()
     try:
-        assert main([command, "--corpus", str(train), "--out", str(tmp_path / "m"),
+        assert main([command, "--corpus", str(pipeline["train"]), "--out", str(tmp_path / "m"),
                      "--dim", "8", "--epochs", "1"]) == 0
     finally:
         tracer.uninstall()
