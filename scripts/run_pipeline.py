@@ -7,8 +7,7 @@ produces the dimension and alpha sweep tables.  All artifacts land in the
 output directory (default ./out).  The acceptance suite runs this same
 pipeline through run_pipeline().
 
-Usage: python scripts/run_pipeline.py [--out DIR] [--seed N] [--dim N]
-       [--epochs N] [--lr-start F]
+Usage: python scripts/run_pipeline.py [--out DIR] [--seed N]
 """
 
 import argparse
@@ -88,15 +87,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--dim", type=int, default=DIM,
-                    help=f"formula vector dimension ({DIM} suits the tiny fixture; "
-                         "use 300 for larger corpora)")
-    ap.add_argument("--epochs", type=int, default=EPOCHS)
-    ap.add_argument("--lr-start", type=float, default=LR_START)
     args = ap.parse_args()
 
     try:
-        paths = run_pipeline(args.out, args.seed, args.dim, args.epochs, args.lr_start)
+        paths = run_pipeline(args.out, args.seed)
     except StepFailed as exc:
         return exc.code
 

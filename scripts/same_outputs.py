@@ -4,7 +4,9 @@
 Each tree runs, in a temporary directory T of its own, with one BLAS thread
 and no bytecode written,
 
-  * its scripts/run_pipeline.py --out T/pipeline --seed 7;
+  * its scripts/run_pipeline.py --out T/pipeline --seed 7, then its
+    mathemb pca --model T/pipeline/sym --l2-normalize --out T/pca_l2.tsv
+    (the pipeline's own pca does not normalise);
   * for each workload of BENCHMARK.json, its perfbench/gen.py --seed 4321
     into T/WORKLOAD/inputs, then, in a child process with the tree's src and
     perfbench on sys.path, one run.Bench set-up, round and evaluation in
@@ -58,6 +60,8 @@ def outputs(tree: pathlib.Path, out: pathlib.Path, workloads) -> None:
     """Write every output of tree under out."""
     run([sys.executable, str(tree / "scripts" / "run_pipeline.py"), "--out",
          str(out / "pipeline"), "--seed", str(PIPELINE_SEED)], out, f"{tree}: run_pipeline.py")
+    run([sys.executable, "-m", "mathemb", "pca", "--model", str(out / "pipeline" / "sym"),
+         "--l2-normalize", "--out", str(out / "pca_l2.tsv")], tree / "src", f"{tree}: pca")
     for workload in workloads:
         work = out / workload
         run([sys.executable, str(tree / "perfbench" / "gen.py"), "--workload", workload,

@@ -170,12 +170,12 @@ def pca_matrix(x: np.ndarray, components: int):
 
 def pca_project(table: EmbeddingTable, components: int = 2,
                 l2_normalize: bool = False) -> PCAProjection:
-    """Project mean-centered input vectors onto the top principal components."""
+    """Project mean-centered input vectors onto the top principal components;
+    l2_normalize first scales each non-zero row to unit length with unit_rows."""
     x = np.array(table.input_vectors, dtype=np.float64)
     if l2_normalize:
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        x = x / norms
+        live = np.any(x, axis=1)
+        x[live] = unit_rows(x[live])
     projected, comps, eigs = pca_matrix(x, components)
     coords = [(s, tuple(float(c) for c in projected[i]))
               for i, s in enumerate(table.vocab.surfaces)]

@@ -83,10 +83,12 @@ def _check_id(value, kind: str) -> str:
     return value
 
 
-def _string_list(rec: dict, key: str) -> list[str]:
-    values = rec.get(key, [])
-    if not isinstance(values, list) or any(not isinstance(v, str) for v in values):
-        raise MalformedRecord(f"{key} must be a list of strings")
+def _string_list(values, key: str) -> list[str]:
+    """values, if it is a list of strings; str.join checks the entries in C."""
+    try:
+        "".join(values if type(values) is list else [None])     # a non-list fails as None
+    except TypeError:
+        raise MalformedRecord(f"{key} must be a list of strings") from None
     return values
 
 
@@ -122,7 +124,7 @@ def ingest_pages(path, stopwords: frozenset[str] = frozenset()) -> Collection:
         text = rec.get("text", "")
         if not isinstance(text, str):
             raise MalformedRecord("text must be a string")
-        formulae = _tokenized(_string_list(rec, "formulas"), f"{page_id}#f")
+        formulae = _tokenized(_string_list(rec.get("formulas", []), "formulas"), f"{page_id}#f")
         coll.formulas.update((f.id, f) for f in formulae)
         return Page(page_id, title, normalize_text(text, stopwords), [f.id for f in formulae])
 
@@ -142,10 +144,10 @@ def ingest_queries(path) -> list[Query]:
         if query_id in seen:
             raise DuplicateQueryId(f"duplicate query_id {query_id!r}")
         seen.add(query_id)
-        keywords = [term for kw in _string_list(rec, "keywords")
+        keywords = [term for kw in _string_list(rec.get("keywords", []), "keywords")
                     for term in normalize_text(kw)]
         # "#q", not a page formula's "#f": trained rows are looked up by id
-        formulae = _tokenized(_string_list(rec, "formulas"), f"{query_id}#q")
+        formulae = _tokenized(_string_list(rec.get("formulas", []), "formulas"), f"{query_id}#q")
         if not keywords and not formulae:
             raise MalformedRecord("query has neither keywords nor formulas")
         return Query(query_id, keywords, formulae)
@@ -260,18 +262,18 @@ class _StoreReader(dict):
         if _check_id(rec["id"], "formula id") in self.formula_ids:
             raise MalformedRecord(f"duplicate formula id {rec['id']!r}")
         self.formula_ids.add(rec["id"])
-        return TokenizedFormula(rec["id"], list(map(self.__getitem__, rec["surfaces"])))
+        surfaces = _string_list(rec["surfaces"], "surfaces")
+        return TokenizedFormula(rec["id"], list(map(self.__getitem__, surfaces)))
 
     def record(self, rec) -> Page | TokenizedFormula:
         kind = rec["kind"]
         if kind == "page":
-            page_id, terms, formula_ids = rec["page_id"], rec["text_terms"], rec["formula_ids"]
+            page_id = rec["page_id"]
             if _check_id(page_id, "page_id") in self.page_ids:
                 raise DuplicatePageId(f"duplicate page_id {page_id!r}")
-            if type(terms) is not list or type(formula_ids) is not list:
-                raise MalformedRecord("text_terms and formula_ids must be lists")
             self.page_ids.add(page_id)
-            return Page(page_id, rec["title"], terms, formula_ids)
+            return Page(page_id, rec["title"], _string_list(rec["text_terms"], "text_terms"),
+                        _string_list(rec["formula_ids"], "formula_ids"))
         if kind == "formula":
             return self.formula(rec)
         raise MalformedRecord(f"unknown record kind {kind!r}")

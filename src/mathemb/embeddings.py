@@ -69,8 +69,6 @@ from .errors import (
 DOCVEC_HEADER = "MATHEMB-DOCVEC v1"
 MODEL_HEADER = "MATHEMB-MODEL v1"
 
-_CLAMP = 30.0
-
 
 class Mode(Enum):
     SYMBOL2VEC = "symbol2vec"
@@ -145,9 +143,7 @@ class EmbeddingTable:
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    # clamp pre-activations so the loss stays finite on extreme inputs
-    x = np.clip(x, -_CLAMP, _CLAMP)
-    return -np.logaddexp(0.0, -x)
+    return -np.logaddexp(0.0, -x)          # finite for every finite x
 
 
 def nce_loss(center, positive, negatives) -> float:
@@ -173,6 +169,14 @@ def _gradient(h, u, live, lr, n_members):
     return dots, step, np.einsum("mk,mkd->md", step, u) / n_members[:, None]
 
 
+# Positions updated together per training block.  A block's updates are all
+# taken from the rows as they were before it (see _sgd), and are summed in
+# one product per table over its distinct rows, so the block size fixes both
+# the updates and their summation order: it is part of the model a seed
+# gives.
+_BLOCK = 16
+
+
 class _Rows(NamedTuple):
     """The rows that one block of positions adds to, entry by entry.  ids
     holds each entry's row: one entry per context member (flat), or one per
@@ -186,15 +190,15 @@ class _Rows(NamedTuple):
     at: np.ndarray
 
 
-def _block_rows(ids, counts, block: int) -> list[_Rows]:
-    """One _Rows per block of `block` positions, for the entries ids, counts[p]
+def _block_rows(ids, counts) -> list[_Rows]:
+    """One _Rows per block of _BLOCK positions, for the entries ids, counts[p]
     of them for the p-th position (ids flat, or one row per position).  One
     sort of every (block, row) key finds each block's distinct rows, so no
     block sorts its own, and a block's coefficient matrix has a column per
     row it uses, never one per row of the table.  (np.unique would do the
     same with about twice the temporary memory.)"""
     m, size = len(counts), int(ids.max()) + 1
-    block_of = np.arange(m) // block
+    block_of = np.arange(m) // _BLOCK
     keys = np.repeat(block_of * size, counts)
     keys += ids.ravel()
     order = np.argsort(keys)
@@ -207,7 +211,7 @@ def _block_rows(ids, counts, block: int) -> list[_Rows]:
     firsts = np.searchsorted(distinct, starts)
     at = np.empty(len(keys), dtype=np.int32)
     at[order] = np.cumsum(new, dtype=np.int32) - 1
-    at += np.repeat(np.arange(m) % block * np.diff(firsts)[block_of] - firsts[block_of], counts)
+    at += np.repeat(np.arange(m) % _BLOCK * np.diff(firsts)[block_of] - firsts[block_of], counts)
     at, distinct, firsts = at.reshape(ids.shape), distinct % size, firsts.tolist()
     # each block's first entry, counted in rows of ids (an entry, or a position's)
     edges = (np.searchsorted(keys, starts) * len(ids) // ids.size).tolist()
@@ -215,22 +219,21 @@ def _block_rows(ids, counts, block: int) -> list[_Rows]:
             for i, end, first, last in zip(edges, edges[1:], firsts, firsts[1:])]
 
 
-def _tables(ctx, targets, negatives, pad, lr, block: int | None = None):
+def _tables(ctx, targets, negatives, pad, lr):
     """Each block's _sgd arguments after the two tables, for m positions in
-    blocks of `block` (one block of all m by default): the contexts, their
-    member counts, the members as _Rows of the word table, each position's
-    output rows (target first) as _Rows of the output table, their live mask
-    (False for a dropped negative) and lr, one rate per position.  All but
-    lr depend on the draws alone; training builds them once per epoch."""
+    blocks of _BLOCK: the contexts, their member counts, the members as
+    _Rows of the word table, each position's output rows (target first) as
+    _Rows of the output table, their live mask (False for a dropped
+    negative) and lr, one rate per position.  All but lr depend on the
+    draws alone; training builds them once per epoch."""
     m = len(ctx)
     in_ctx = ctx != pad
     n_ctx = np.count_nonzero(in_ctx, axis=1)
     rows = np.concatenate((targets[:, None], negatives), axis=1)
     live = rows != pad
-    block = block or m
-    bounds = [*range(0, m, block), m]
-    members = _block_rows(ctx[in_ctx], n_ctx, block)
-    outs = _block_rows(rows, np.full(m, rows.shape[1]), block)
+    bounds = [*range(0, m, _BLOCK), m]
+    members = _block_rows(ctx[in_ctx], n_ctx)
+    outs = _block_rows(rows, np.full(m, rows.shape[1]))
     return [(ctx[i:end], n_ctx[i:end], c, o, live[i:end], lr[i:end])
             for i, end, c, o in zip(bounds, bounds[1:], members, outs)]
 
@@ -356,16 +359,7 @@ def _negatives(vocab: Vocabulary, rng: np.random.Generator, targets, k: int,
     return negatives
 
 
-# Positions updated together per training block.  A block's updates are all
-# taken from the rows as they were before it (see _sgd), and are summed in
-# one product per table over its distinct rows, so the block size fixes both
-# the updates and their summation order: it is part of the model a seed
-# gives.
-_BLOCK = 16
-
-
-def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
-           with_docs: bool) -> EmbeddingTable:
+def _train(formulas, vocab: Vocabulary, config: TrainingConfig) -> EmbeddingTable:
     formulas = list(formulas)
     if not formulas:
         raise EmptyCorpus("training corpus is empty")
@@ -373,12 +367,13 @@ def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
 
     rng = np.random.default_rng(config.seed)
     dim, window, pad = config.dim, config.window, len(vocab)
+    formula_mode = config.mode is Mode.FORMULA2VEC
     bound = 0.5 / dim
     # vocabulary rows | a zero row for short windows and dropped negatives | formula rows
-    words = np.zeros((pad + 1 + len(seqs) * with_docs, dim))
+    words = np.zeros((pad + 1 + len(seqs) * formula_mode, dim))
     words[:pad] = rng.uniform(-bound, bound, (pad, dim))
     outputs = np.zeros((pad + 1, dim))
-    words[pad + 1:] = rng.uniform(-bound, bound, (len(seqs) * with_docs, dim))
+    words[pad + 1:] = rng.uniform(-bound, bound, (len(seqs) * formula_mode, dim))
 
     # a position needs a context token or, in formula mode, the formula row
     # and one more token to predict from it; either way two tokens
@@ -388,8 +383,8 @@ def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
     table = EmbeddingTable(
         config=config, vocab=vocab,
         input_vectors=words[:pad], context_vectors=outputs[:pad],
-        formula_vectors=words[pad + 1:] if with_docs else None,
-        formula_ids=[f.id for f in formulas] if with_docs else None,
+        formula_vectors=words[pad + 1:] if formula_mode else None,
+        formula_ids=[f.id for f in formulas] if formula_mode else None,
         skipped_short=len(seqs) - len(trainable),
     )
 
@@ -411,7 +406,7 @@ def _train(formulas, vocab: Vocabulary, config: TrainingConfig,
         widths = rng.integers(1, window + 1, n)
         negatives = _negatives(vocab, rng, targets, config.negatives, pad)
         ctx = _windows(flat, centers, widths, window, pad)
-        if with_docs:
+        if formula_mode:
             ctx = np.hstack((ctx, doc_rows))
         table.epoch_losses.append(_epoch(words, outputs, ctx, targets, negatives, lr, pad))
     return table
@@ -421,7 +416,7 @@ def _epoch(words, outputs, ctx, targets, negatives, lr, pad) -> float:
     """One epoch of _sgd in blocks of _BLOCK, from the epoch's draws; returns
     its mean loss.  Its _tables live only while it runs, so they are gone
     before the next epoch builds its own."""
-    blocks = _tables(ctx, targets, negatives, pad, lr, _BLOCK)
+    blocks = _tables(ctx, targets, negatives, pad, lr)
     dots = [_sgd(words, outputs, *block) for block in blocks]
     return float(_loss(np.concatenate(dots), np.concatenate([b[4] for b in blocks])).mean())
 
@@ -430,14 +425,14 @@ def train_symbol2vec(formulas, vocab: Vocabulary, config: TrainingConfig) -> Emb
     """Train token embeddings with CBOW + negative sampling."""
     if config.mode is not Mode.SYMBOL2VEC:
         raise ValueError("config.mode must be SYMBOL2VEC")
-    return _train(formulas, vocab, config, with_docs=False)
+    return _train(formulas, vocab, config)
 
 
 def train_formula2vec(formulas, vocab: Vocabulary, config: TrainingConfig) -> EmbeddingTable:
     """Train per-formula vectors with PV-DM (formula row averaged into the context)."""
     if config.mode is not Mode.FORMULA2VEC:
         raise ValueError("config.mode must be FORMULA2VEC")
-    return _train(formulas, vocab, config, with_docs=True)
+    return _train(formulas, vocab, config)
 
 
 # Formulae inferred together per block.  A block runs in lockstep, one
@@ -475,7 +470,7 @@ def infer_vectors(token_lists, table: EmbeddingTable, seeds,
     formula whose tokens are all out of vocabulary gets None; steps=0
     returns the seeded initializations.
     """
-    if table.config.mode is not Mode.FORMULA2VEC or table.formula_vectors is None:
+    if table.config.mode is not Mode.FORMULA2VEC:
         raise ValueError("inference needs a table trained in formula2vec mode")
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -572,7 +567,7 @@ def infer_vector(tokens, table: EmbeddingTable, steps: int = 50, seed: int = 0) 
 # persistence (word2vec-style text interchange)
 
 
-def _model_meta(payload) -> tuple[TrainingConfig, Vocabulary, bool]:
+def _model_meta(payload) -> tuple[TrainingConfig, Vocabulary]:
     config = TrainingConfig.from_json_dict(payload["config"])
     vocab = Vocabulary(
         [s for s, _ in payload["vocab_counts"]],
@@ -581,7 +576,9 @@ def _model_meta(payload) -> tuple[TrainingConfig, Vocabulary, bool]:
     )
     if vocab.fingerprint() != payload["vocab_fingerprint"]:
         raise MalformedRecord("vocabulary fingerprint mismatch")
-    return config, vocab, bool(payload.get("has_formula_vectors"))
+    if payload["has_formula_vectors"] is not (config.mode is Mode.FORMULA2VEC):
+        raise MalformedRecord(f"has_formula_vectors does not match mode {config.mode.value}")
+    return config, vocab
 
 
 def save_table(table: EmbeddingTable, prefix) -> None:
@@ -612,7 +609,7 @@ def load_table(prefix) -> EmbeddingTable:
     records = artifacts.read_records(f"{prefix}.meta.txt", _model_meta, MODEL_HEADER)
     if not records:
         raise MalformedRecord(f"{prefix}.meta.txt: no model record")
-    config, vocab, has_formula_vectors = records[0]
+    config, vocab = records[0]
 
     wv_labels, input_vectors = artifacts.read_vectors(f"{prefix}.wv.txt")
     if wv_labels != vocab.surfaces:
@@ -624,9 +621,8 @@ def load_table(prefix) -> EmbeddingTable:
     if ctx_labels != vocab.surfaces or context_vectors.shape != input_vectors.shape:
         raise MalformedRecord(f"{prefix}.ctx.txt: rows do not match {prefix}.wv.txt")
 
-    formula_vectors = None
-    formula_ids = None
-    if has_formula_vectors:
+    formula_ids = formula_vectors = None
+    if config.mode is Mode.FORMULA2VEC:
         formula_ids, formula_vectors = artifacts.read_vectors(f"{prefix}.dv.txt", DOCVEC_HEADER)
         if formula_vectors.shape[1] != input_vectors.shape[1]:
             raise MalformedRecord(f"{prefix}.dv.txt: dim {formula_vectors.shape[1]} differs "

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
@@ -121,19 +122,19 @@ class TextIndex:
     @classmethod
     def load(cls, path) -> "TextIndex":
         """Read an index, checking each page's id as the store does, that its
-        tf is an object of positive integer counts summing to its length, and
-        the collection length the sum of the page lengths."""
+        tf is an object of positive integer counts summing to its length, mu a
+        finite number > 0, and collection_length and pages those of the page records."""
         stats: dict = {}
         pages: dict[str, dict] = {}
 
         def record(rec) -> None:
             if not stats:
-                stats.update(coll_len=int(rec["collection_length"]), mu=float(rec["mu"]))
-                if not 0 < stats["mu"] < math.inf:
-                    raise MalformedRecord(f"mu must be > 0 and finite, got {stats['mu']}")
+                stats.update((key, rec[key]) for key in ("collection_length", "mu", "pages"))
+                # finite as a float: a JSON integer past the float range is not
+                if type(rec["mu"]) not in (int, float) or not 0 < rec["mu"] <= sys.float_info.max:
+                    raise MalformedRecord(f"mu must be > 0 and finite, got {rec['mu']!r}")
                 return
-            page_id, tf = _check_id(rec["page_id"], "page_id"), rec["tf"]
-            length = int(rec["length"])
+            page_id, tf, length = _check_id(rec["page_id"], "page_id"), rec["tf"], rec["length"]
             if not isinstance(tf, dict):
                 raise MalformedRecord(f"page {page_id!r}: tf must be an object")
             if page_id in pages:
@@ -149,9 +150,10 @@ class TextIndex:
         if not stats:
             raise MalformedRecord(f"{path}: missing collection statistics line")
         index = cls(pages.items(), stats["mu"])
-        if stats["coll_len"] != index.coll_len:
-            raise MalformedRecord(f"{path}: collection_length {stats['coll_len']} is not the "
-                                  f"sum of the page lengths, {index.coll_len}")
+        for key, value, what in (("collection_length", index.coll_len, "sum of the page lengths"),
+                                 ("pages", len(pages), "number of page records")):
+            if stats[key] != value:
+                raise MalformedRecord(f"{path}: {key} {stats[key]!r} is not the {what}, {value}")
         return index
 
 

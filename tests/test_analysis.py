@@ -302,6 +302,17 @@ class TestPCA:
                 proj = np.linalg.norm(projected[i] - projected[j])
                 assert proj <= orig + 1e-9
 
+    def test_l2_normalize_projects_tiny_and_huge_rows_as_unit_rows(self):
+        # the same directions, four of them scaled by 1e-200 or 1e200 (their
+        # sums of squares under- or overflow), and a zero row
+        directions = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 2.0], [3.0, 0.0, -1.0],
+                               [0.5, 2.0, 1.0], [-2.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        scales = np.array([1e-200, 1e200, 1e200, 1e-200, 1.0, 1.0])[:, np.newaxis]
+        want = pca_project(table_from_matrix(directions), l2_normalize=True)
+        got = pca_project(table_from_matrix(directions * scales), l2_normalize=True)
+        for (_, xy), (_, want_xy) in zip(got.coords, want.coords):
+            np.testing.assert_allclose(xy, want_xy, rtol=0, atol=1e-12)
+
     def test_table_projection_shape_and_l2_flag(self, trained_symbol_table):
         proj = pca_project(trained_symbol_table, components=2)
         assert len(proj.coords) == len(trained_symbol_table.vocab)

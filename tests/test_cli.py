@@ -580,9 +580,17 @@ class TestCorruptArtifacts:
         ("index", 4, '{"length":1,"page_id":7,"tf":{"a":1}}'),
         ("index", 4, '{"length":1,"page_id":"Trig_Addition","tf":[["a",1]]}'),
         ("f2v_meta", 2, "{not json"),
+        ("store", 19, '{"id":"Trig_Addition#f0","kind":"formula","surfaces":"xyz"}'),
+        ("store", 3, '{"formula_ids":[],"kind":"page","page_id":"Trig_Addition",'
+                     '"text_terms":[1,2,"the"],"title":"t"}'),
+        ("store", 3, '{"formula_ids":[["Trig_Addition#f0"]],"kind":"page",'
+                     '"page_id":"Trig_Addition","text_terms":["the"],"title":"t"}'),
+        ("index", 3, '{"collection_length":371,"mu":1' + "0" * 400 + ',"pages":16}'),
     ], ids=["store-missing-field", "store-not-object", "store-number-surface",
             "corpus-missing-field", "corpus-list-surface", "corpus-null-surface",
-            "index-not-json", "index-page-id-number", "index-tf-list", "meta-not-json"])
+            "index-not-json", "index-page-id-number", "index-tf-list", "meta-not-json",
+            "store-string-surfaces", "store-number-text-terms", "store-list-formula-id",
+            "index-mu-past-float-range"])
     def test_exit_one_with_path_and_line(self, pipeline, tmp_path, capsys,
                                          artifact, line_no, text):
         work = tmp_path / "pipeline"

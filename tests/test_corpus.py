@@ -220,8 +220,8 @@ class TestPersistence:
         ("page_id", "a b", "page_id must be a non-empty string without whitespace, got 'a b'"),
         ("page_id", "", "page_id must be a non-empty string without whitespace, got ''"),
         ("page_id", 7, "page_id must be a non-empty string without whitespace, got 7"),
-        ("text_terms", "sine", "text_terms and formula_ids must be lists"),
-        ("formula_ids", None, "text_terms and formula_ids must be lists"),
+        ("text_terms", "sine", "text_terms must be a list of strings"),
+        ("formula_ids", None, "formula_ids must be a list of strings"),
     ], ids=["page-id-space", "page-id-empty", "page-id-number", "text-terms-string",
             "formula-ids-null"])
     def test_malformed_page_record_rejected_with_line(self, fixture_collection, tmp_path,

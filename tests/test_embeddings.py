@@ -76,6 +76,10 @@ class TestNceLoss:
         neg = np.array([-1.0, 0.0])
         assert nce_loss(h, pos, [neg]) < 1e-10
 
+    def test_saturated_wrong_prediction(self):
+        # -log sigma(-100) = log(1 + e^100), about 100: the loss is not capped
+        assert nce_loss([100.0, 0.0], [-1.0, 0.0], []) == pytest.approx(100.0, rel=1e-12)
+
     def test_hand_value(self):
         h = np.array([1.0, 0.0])
         v = np.array([1.0, 0.0])
@@ -487,8 +491,7 @@ class TestTraining:
             # follow the word table's pad row
             ctx = np.hstack((ctx, size + 1 + np.arange(400)[:, None] % 40))
             blocks = _tables(
-                ctx, flat[centers], rng.integers(0, size, (400, k)), size, np.full(400, 0.1),
-                _BLOCK)
+                ctx, flat[centers], rng.integers(0, size, (400, k)), size, np.full(400, 0.1))
             words, outputs = rng.normal(size=(2, size + 1, dim))
             words = np.vstack((words, rng.normal(size=(40, dim))))
             tracemalloc.start()
@@ -911,6 +914,24 @@ class TestPersistence:
         assert '"sampling_power":0.75,' in text
         meta.write_text(text.replace('"sampling_power":0.75,', f'"sampling_power":{power},'))
         with pytest.raises(MalformedRecord, match="model.meta.txt:2: .*sample power"):
+            load_table(prefix)
+        assert main(["neighbors", "--model", str(prefix), "--symbol", "a"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {meta}:2: ")
+
+    @pytest.mark.parametrize("table,flag,other", [
+        ("trained_formula_table", "true", "false"), ("trained_symbol_table", "false", "true"),
+    ], ids=["formula2vec-says-false", "symbol2vec-says-true"])
+    def test_formula_vectors_flag_must_match_mode(self, request, tmp_path, capsys,
+                                                  table, flag, other):
+        prefix = tmp_path / "model"
+        save_table(request.getfixturevalue(table), prefix)
+        meta = tmp_path / "model.meta.txt"
+        text = meta.read_text()
+        assert f'"has_formula_vectors":{flag},' in text
+        meta.write_text(text.replace(f'"has_formula_vectors":{flag},',
+                                     f'"has_formula_vectors":{other},'))
+        with pytest.raises(MalformedRecord,
+                           match="model.meta.txt:2: has_formula_vectors does not match mode"):
             load_table(prefix)
         assert main(["neighbors", "--model", str(prefix), "--symbol", "a"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {meta}:2: ")

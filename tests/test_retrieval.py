@@ -122,12 +122,18 @@ class TestTextIndex:
         ("mu", math.inf, "i.txt:2: mu must be > 0 and finite, got inf"),
         ("tf", {"a": 2, "b": -1}, "i.txt:3: page .* has a count that is not an integer > 0"),
         ("tf", {"a": 1.5}, "i.txt:3: page .* has a count that is not an integer > 0"),
+        ("mu", "2000", "i.txt:2: mu must be > 0 and finite, got '2000'"),
+        ("mu", True, "i.txt:2: mu must be > 0 and finite, got True"),
+        ("collection_length", "371", "i.txt: collection_length '371' is not the sum of the "
+                                     "page lengths, 371$"),
+        ("pages", 99, "i.txt: pages 99 is not the number of page records, 16$"),
+        ("length", 27.9, "i.txt:3: page .* has length 27.9, but its term counts sum to 27$"),
     ])
     def test_inconsistent_index_rejected(self, fixture_index, tmp_path, field, value, match):
         p = tmp_path / "i.txt"
         fixture_index.save(p)
         lines = p.read_text().splitlines()
-        line_no = 1 if field in ("collection_length", "mu") else 2
+        line_no = 1 if field in ("collection_length", "mu", "pages") else 2
         rec = json.loads(lines[line_no])
         rec[field] = value
         lines[line_no] = json.dumps(rec)
