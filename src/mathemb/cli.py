@@ -16,8 +16,8 @@ Exit codes: 0 success, 1 data error (one-line diagnostic on stderr),
 2 usage error.  A flag value out of its range (--top, --steps, --threshold,
 --mu, --alpha, --tag, --ks, --values, --min-count, neighbors --k,
 pca --components, and the training flags --dim, --window, --negatives,
---epochs, --lr-start, --lr-end) is a usage error, raised before any file is
-read.
+--epochs, --lr-start, --lr-end, --seed) is a usage error, raised before any
+file is read.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ def _split(raw: str, kind=float) -> list:
 
 # each range rule: its text in the error message, and the test of a value
 _RULES = {
-    "be >= 0": lambda v: v >= 0,
     "be >= 1": lambda v: v >= 1,
     "be finite and > 0": lambda v: 0 < v < math.inf,
     "be finite and >= 0": lambda v: 0 <= v < math.inf,
@@ -201,7 +200,7 @@ def build_parser():
                    help="Dirichlet smoothing mass (default: the one index-text stored)")
     p.add_argument("--top", type=int, default=1000, action=_Checked, must="be >= 1",
                    help="pages kept per query (default 1000)")
-    p.add_argument("--steps", type=int, default=50, action=_Checked, must="be >= 0",
+    p.add_argument("--steps", type=int, default=50, action=_Checked, must="be >= 1",
                    help="inference passes for unseen formulae (default 50)")
     p.add_argument("--tag", default="mathemb", action=_Checked,
                    must="be non-empty and hold no whitespace", help="run tag (default mathemb)")
@@ -224,7 +223,7 @@ def build_parser():
     p.add_argument("--qrels", required=True, help="TREC qrels file")
     p.add_argument("--mu", type=float, default=2000.0, action=_Checked, must="be finite and > 0",
                    help="Dirichlet smoothing mass on the alpha axis (default 2000)")
-    p.add_argument("--steps", type=int, default=50, action=_Checked, must="be >= 0",
+    p.add_argument("--steps", type=int, default=50, action=_Checked, must="be >= 1",
                    help="inference passes for unseen formulae (default 50)")
     for q in (evaluate, p):  # evaluate's last flags; sweep's before the training flags
         q.add_argument("--ks", default="30,50", action=_Checked,

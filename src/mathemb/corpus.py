@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,7 +172,8 @@ _SLICES = 4096
 @dataclass
 class Vocabulary:
     """Dense surface index plus the negative-sampling distribution; ValueError
-    when counts ** power has no finite positive sum to normalise by."""
+    unless the counts are integers > 0 and the power a finite number with a
+    finite positive sum of counts ** power to normalise by."""
 
     surfaces: list[str]
     counts: list[int]
@@ -182,6 +184,10 @@ class Vocabulary:
     _slices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not all(type(c) is int and c > 0 for c in self.counts):
+            raise ValueError("surface counts must be integers > 0")
+        if type(self.power) not in (int, float) or not abs(self.power) <= sys.float_info.max:
+            raise ValueError(f"sample power {self.power!r} is not a finite number")
         self.index = {s: i for i, s in enumerate(self.surfaces)}
         with np.errstate(over="ignore"):
             weights = np.asarray(self.counts, dtype=np.float64) ** self.power

@@ -39,16 +39,18 @@ config, seed) on one BLAS build, which fixes the products' summation order.
 Inference of unseen formulae (infer_vectors, and infer_vector for one) runs
 the same gradient core with the trained rows frozen, updating a new formula
 vector alone at the model's own rate.  Formulae are therefore independent, and
-a batch of them runs in lockstep, one position of each per step, while every
-formula draws its initialization, widths and negatives up front from its own
-seeded generator.  What depends only on those draws and the frozen rows (each
-draw's output rows in one (step x formula) grid, and the size and word-row sum
-of the window of every (position, width)) is laid out once per block, so a
-step gathers its window sums and updates the formula vectors, nothing more.
+a batch of them runs in lockstep, one position of each per step.  Every
+formula vector starts at zero, and every formula draws its widths and
+negatives up front from its own seeded generator.  What depends only on those
+draws and the frozen rows (each draw's output rows in one (step x formula)
+grid, and the size and word-row sum of the window of every (position, width))
+is laid out once per block, so a step gathers its window sums and updates the
+formula vectors, nothing more.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -87,15 +89,15 @@ class TrainingConfig:
     mode: Mode = Mode.SYMBOL2VEC
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.negatives < 1:
-            raise ValueError("negatives must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not (self.lr_start >= self.lr_end > 0):
+        for name, least in (("dim", 1), ("window", 1), ("negatives", 1), ("epochs", 1),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int:      # a bool passes isinstance(value, int)
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
+        if not (all(type(r) in (int, float) for r in (self.lr_start, self.lr_end))
+                and 0 < self.lr_end <= self.lr_start <= sys.float_info.max):
             raise ValueError("need lr_start >= lr_end > 0")
 
     def to_json_dict(self) -> dict:
@@ -457,23 +459,22 @@ def infer_vectors(token_lists, table: EmbeddingTable, seeds,
                   steps: int = 50) -> list[np.ndarray | None]:
     """Vectors for unseen formulae under a trained formula-mode table.
 
-    Formula i gets `steps` PV-DM passes over its in-vocabulary tokens that
-    update only its own new vector, at a rate falling linearly from the
-    model's lr_start to its lr_end; word and context rows stay frozen.  Its
-    own np.random.default_rng(seeds[i]) draws, up front, its initialization,
-    then every window width, then every negative, so a formula's vector does
-    not depend on the others inferred with it: it is the same, bit for bit,
-    inferred alone or in any batch.  The formulae run in blocks of
+    Formula i gets steps >= 1 PV-DM passes over its in-vocabulary tokens
+    that update only its own new vector, which starts at zero, at a rate
+    falling linearly from the model's lr_start to its lr_end; word and
+    context rows stay frozen.  Its own np.random.default_rng(seeds[i]) draws,
+    up front, every window width, then every negative, so a formula's vector
+    does not depend on the others inferred with it: it is the same, bit for
+    bit, inferred alone or in any batch.  The formulae run in blocks of
     _INFER_BLOCK, in lockstep, one position of each per step, each step one
     _gradient call over the block's running formulae (see _infer_block), so
     a block takes steps times its longest formula's length in steps.  A
-    formula whose tokens are all out of vocabulary gets None; steps=0
-    returns the seeded initializations.
+    formula whose tokens are all out of vocabulary gets None.
     """
     if table.config.mode is not Mode.FORMULA2VEC:
         raise ValueError("inference needs a table trained in formula2vec mode")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     seqs = [_encode(tokens, table.vocab) for tokens in token_lists]
     seeds = list(seeds)
     if len(seeds) != len(seqs):
@@ -524,12 +525,11 @@ def _infer_block(seqs, seeds, table: EmbeddingTable, words, outputs, steps: int)
     members += 1                            # the formula row joins every window
     firsts = np.cumsum(lens) - lens
     n_steps = steps * lens
-    vecs = np.empty((len(seqs), dim))
+    vecs = np.zeros((len(seqs), dim))
     ctx_rows = np.empty((n_steps[0], len(seqs)), dtype=np.int32)
     out_rows = np.empty((n_steps[0], len(seqs), config.negatives + 1), dtype=np.int32)
     for i, (seq, seed) in enumerate(zip(seqs, seeds)):
         rng, n = np.random.default_rng(seed), n_steps[i]
-        vecs[i] = rng.uniform(-0.5 / dim, 0.5 / dim, dim)
         positions = np.tile(np.arange(firsts[i], firsts[i] + lens[i]), steps)
         ctx_rows[:n, i] = positions * window + rng.integers(1, window + 1, n) - 1
         out_rows[:n, i, 0] = targets = np.tile(seq, steps)
@@ -554,8 +554,7 @@ def infer_vector(tokens, table: EmbeddingTable, steps: int = 50, seed: int = 0) 
     """Vector for one unseen formula: infer_vectors on a batch of one.
 
     Out-of-vocabulary tokens are skipped; if nothing remains,
-    UnknownTokensOnly is raised.  steps=0 returns the seeded random
-    initialization.
+    UnknownTokensOnly is raised.
     """
     vec = infer_vectors([tokens], table, [seed], steps=steps)[0]
     if vec is None:
@@ -569,11 +568,10 @@ def infer_vector(tokens, table: EmbeddingTable, steps: int = 50, seed: int = 0) 
 
 def _model_meta(payload) -> tuple[TrainingConfig, Vocabulary]:
     config = TrainingConfig.from_json_dict(payload["config"])
-    vocab = Vocabulary(
-        [s for s, _ in payload["vocab_counts"]],
-        [int(c) for _, c in payload["vocab_counts"]],
-        float(payload["sampling_power"]),
-    )
+    if type(payload["seed"]) is not int or payload["seed"] != config.seed:
+        raise MalformedRecord(f"seed {payload['seed']!r} differs from config seed {config.seed}")
+    vocab = Vocabulary([s for s, _ in payload["vocab_counts"]],
+                       [c for _, c in payload["vocab_counts"]], payload["sampling_power"])
     if vocab.fingerprint() != payload["vocab_fingerprint"]:
         raise MalformedRecord("vocabulary fingerprint mismatch")
     if payload["has_formula_vectors"] is not (config.mode is Mode.FORMULA2VEC):

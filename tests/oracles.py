@@ -264,20 +264,20 @@ def oracle_negatives(vocab, rng, targets, k):
     return [[int(d) for d in row if d != t] for row, t in zip(negs, targets)]
 
 
-def oracle_infer_vector(surfaces, table, steps, lr, seed):
+def oracle_infer_vector(surfaces, table, steps, seed):
     """PV-DM inference of one formula vector against frozen word and context
-    rows, one position per step.  default_rng(seed) draws, in this order,
-    the initial vector, the window width in [1, window] of every step, and
+    rows, one position per step, from a zero vector.  default_rng(seed)
+    draws, in this order, the window width in [1, window] of every step and
     the negatives of every step (oracle_negatives).  The learning rate falls
-    linearly from lr to min(lr, lr_end)."""
+    linearly from the table's lr_start to its lr_end."""
     config, vocab = table.config, table.vocab
     seq = [vocab.index[s] for s in surfaces if s in vocab.index]
     rng = np.random.default_rng(seed)
     dim = config.dim
-    v = rng.uniform(-0.5 / dim, 0.5 / dim, dim)
+    v = np.zeros(dim)
     widths = rng.integers(1, config.window + 1, steps * len(seq))
     all_negs = oracle_negatives(vocab, rng, seq * steps, config.negatives)
-    lr_end = min(lr, config.lr_end)
+    lr, lr_end = config.lr_start, config.lr_end
     total = max(1, steps * len(seq) - 1)
     step = 0
     for _ in range(steps):
@@ -302,7 +302,8 @@ def oracle_infer_block(seqs, seeds, table, words, outputs, steps):
     context with _windows and applies the whole frozen SGD step (context
     mean, sigmoid step, np.add.at into the formula rows), in the operation
     order whose results the production loop must reproduce bit for bit.  The
-    rate falls from the table's lr_start to its lr_end."""
+    formula vectors start at zero, and the rate falls from the table's
+    lr_start to its lr_end."""
     from mathemb.embeddings import _lay_out, _negatives, _windows
 
     config = table.config
@@ -310,13 +311,12 @@ def oracle_infer_block(seqs, seeds, table, words, outputs, steps):
     lens = np.array([len(seq) for seq in seqs])
     n_steps = steps * lens
     firsts = np.concatenate(([0], np.cumsum(n_steps)[:-1]))
-    vecs = np.empty((len(seqs), dim))
+    vecs = np.zeros((len(seqs), dim))
     widths = np.empty(n_steps.sum(), dtype=np.intp)
     negatives = np.empty((n_steps.sum(), config.negatives), dtype=np.intp)
     for i, (seq, seed) in enumerate(zip(seqs, seeds)):
         rng = np.random.default_rng(seed)
         mine = slice(firsts[i], firsts[i] + n_steps[i])
-        vecs[i] = rng.uniform(-0.5 / dim, 0.5 / dim, dim)
         widths[mine] = rng.integers(1, window + 1, n_steps[i])
         negatives[mine] = _negatives(table.vocab, rng, np.tile(seq, steps), config.negatives, pad)
 

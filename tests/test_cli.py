@@ -65,7 +65,9 @@ def test_invalid_training_flags_exit_two(pipeline, tmp_path, capsys):
     (["--epochs", "0"], "epochs must be >= 1"),
     (["--lr-start", "0.001", "--lr-end", "0.01"], "need lr_start >= lr_end > 0"),
     (["--min-count", "0"], "--min-count must be >= 1"),
-], ids=["epochs-zero", "lr-rising", "min-count-zero"])
+    (["--lr-start", "inf"], "need lr_start >= lr_end > 0"),
+    (["--seed", "-1"], "seed must be >= 0"),
+], ids=["epochs-zero", "lr-rising", "min-count-zero", "lr-start-inf", "seed-negative"])
 def test_invalid_training_flags_exit_two_before_reading_the_corpus(tmp_path, capsys, command,
                                                                    flags, message):
     missing = str(tmp_path / "missing")
@@ -192,7 +194,8 @@ ROUND_TRIP = {
     "filter": (["--store", "s", "--out", "o"], []),
     "train-symbol2vec": (["--corpus", "c", "--out", "o"],
                          ["--dim", "7", "--lr-start", "0.5", "--sample-power", "1"]),
-    "train-formula2vec": (["--corpus", "c", "--out", "o"], ["--epochs", "3", "--seed", "-2"]),
+    "train-formula2vec": (["--corpus", "c", "--out", "o"],
+                          ["--epochs", "3", "--seed", "2", "--sample-power", "-0.5"]),
     "neighbors": (["--model", "m"], ["--symbol", "\\sin", "--symbol=-x", "--k", "3"]),
     "pca": (["--model", "m"], ["--l2-normalize", "--components", "3"]),
     "index-text": (["--store", "s", "--out", "o"], ["--mu", "5"]),
@@ -428,14 +431,15 @@ class TestPipeline:
                 assert len(got) > 1
 
     @pytest.mark.parametrize("extra,rule", [
-        (["--top", "-1"], ">= 1"), (["--top", "0"], ">= 1"), (["--steps", "-3"], ">= 0"),
+        (["--top", "-1"], ">= 1"), (["--top", "0"], ">= 1"), (["--steps", "-3"], ">= 1"),
         (["--mu", "nan"], "finite and > 0"), (["--mu", "inf"], "finite and > 0"),
         (["--mu", "0"], "finite and > 0"), (["--alpha", "nan"], "finite and >= 0"),
         (["--alpha", "inf"], "finite and >= 0"), (["--alpha", "-1"], "finite and >= 0"),
         (["--tag", "my tag"], "non-empty and hold no whitespace"),
         (["--tag", ""], "non-empty and hold no whitespace"),
+        (["--steps", "0"], ">= 1"),
     ], ids=["top-negative", "top-zero", "steps-negative", "mu-nan", "mu-inf", "mu-zero",
-            "alpha-nan", "alpha-inf", "alpha-negative", "tag-space", "tag-empty"])
+            "alpha-nan", "alpha-inf", "alpha-negative", "tag-space", "tag-empty", "steps-zero"])
     def test_search_rejects_out_of_range_counts(self, pipeline, tmp_path, capsys, extra, rule):
         out = tmp_path / "r.run"
         for flags in (extra, config_flags(tmp_path, extra)):
@@ -444,12 +448,12 @@ class TestPipeline:
             assert not out.exists()
 
     @pytest.mark.parametrize("axis,extra,rule", [
-        ("alpha", ["--steps", "-1"], ">= 0"), ("alpha", ["--threshold", "0"], ">= 1"),
+        ("alpha", ["--steps", "-1"], ">= 1"), ("alpha", ["--threshold", "0"], ">= 1"),
         ("alpha", ["--values", "0,nan"], "finite and >= 0"),
         ("alpha", ["--values", "inf"], "finite and >= 0"),
         ("alpha", ["--values", "4,-1"], "finite and >= 0"),
         ("alpha", ["--mu", "inf"], "finite and > 0"),
-        ("dimension", ["--steps", "-1"], ">= 0"),
+        ("dimension", ["--steps", "-1"], ">= 1"),
         ("dimension", ["--values", "2.5,2"], "integers >= 1"),
         ("dimension", ["--values", "0"], "integers >= 1"),
         ("dimension", ["--values", "8,-8"], "integers >= 1"),
@@ -459,11 +463,12 @@ class TestPipeline:
         ("alpha", ["--values", "0,abc"], "finite and >= 0"),
         ("alpha", ["--ks", "30,0"], "one or more integers >= 1"),
         ("alpha", ["--ks", "30,abc"], "one or more integers >= 1"),
+        ("alpha", ["--steps", "0"], ">= 1"),
     ], ids=["steps-negative", "threshold-zero", "values-nan", "values-inf", "values-negative",
             "mu-inf", "dimension-steps-negative", "dimension-values-fraction",
             "dimension-values-zero", "dimension-values-negative", "dimension-values-nan",
             "dimension-values-inf", "dimension-values-not-a-number", "values-not-a-number",
-            "ks-zero", "ks-not-a-number"])
+            "ks-zero", "ks-not-a-number", "steps-zero"])
     def test_sweep_rejects_out_of_range_values(self, pipeline, tmp_path, capsys,
                                                axis, extra, rule):
         out = tmp_path / "sweep.tsv"
@@ -586,11 +591,25 @@ class TestCorruptArtifacts:
         ("store", 3, '{"formula_ids":[["Trig_Addition#f0"]],"kind":"page",'
                      '"page_id":"Trig_Addition","text_terms":["the"],"title":"t"}'),
         ("index", 3, '{"collection_length":371,"mu":1' + "0" * 400 + ',"pages":16}'),
+        # (old, new): the line with one field's text replaced
+        ("f2v_meta", 2, ('["{",23]', '["{",23.9]')),
+        ("f2v_meta", 2, ('["{",23]', '["{",-5]')),
+        ("f2v_meta", 2, ('"sampling_power":0.75', '"sampling_power":"0.75"')),
+        ("f2v_meta", 2, ('"seed":7,"tool"', '"seed":99,"tool"')),
+        ("f2v_meta", 2, ('"negatives":5', '"negatives":2.5')),
+        ("f2v_meta", 2, ('"window":5', '"window":2.5')),
+        ("f2v_meta", 2, ('"window":5', '"window":true')),
+        ("f2v_meta", 2, ('"epochs":10,', '"epochs":2.5,')),
+        ("f2v_meta", 2, ('"seed":7,"window"', '"seed":"s","window"')),
+        ("f2v_meta", 2, ('"seed":7,"window"', '"seed":2.5,"window"')),
     ], ids=["store-missing-field", "store-not-object", "store-number-surface",
             "corpus-missing-field", "corpus-list-surface", "corpus-null-surface",
             "index-not-json", "index-page-id-number", "index-tf-list", "meta-not-json",
             "store-string-surfaces", "store-number-text-terms", "store-list-formula-id",
-            "index-mu-past-float-range"])
+            "index-mu-past-float-range", "meta-count-fraction", "meta-count-negative",
+            "meta-power-string", "meta-seed-differs", "meta-negatives-fraction",
+            "meta-window-fraction", "meta-window-true", "meta-epochs-fraction",
+            "meta-config-seed-string", "meta-config-seed-fraction"])
     def test_exit_one_with_path_and_line(self, pipeline, tmp_path, capsys,
                                          artifact, line_no, text):
         work = tmp_path / "pipeline"
@@ -598,6 +617,9 @@ class TestCorruptArtifacts:
         paths = {name: work / pipeline[name].name for name in ("store", "train", "index")}
         paths["f2v_meta"] = work / "f2v.meta.txt"
         lines = paths[artifact].read_text().splitlines()
+        if isinstance(text, tuple):
+            assert lines[line_no - 1].count(text[0]) == 1
+            text = lines[line_no - 1].replace(*text)
         lines[line_no - 1] = text
         paths[artifact].write_text("\n".join(lines) + "\n")
         argv = {

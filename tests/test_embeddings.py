@@ -55,6 +55,9 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         dict(epochs=0), dict(dim=0), dict(window=0), dict(negatives=0),
         dict(lr_start=0.0001, lr_end=0.01), dict(lr_end=0.0),
+        dict(negatives=2.5), dict(window=2.5), dict(window=True), dict(epochs=2.5),
+        dict(seed="s"), dict(seed=2.5), dict(seed=-1), dict(lr_start=math.inf),
+        dict(lr_start=True, lr_end=0.5),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -592,21 +595,19 @@ class TestInference:
         b = infer_vector(f.tokens, trained_formula_table, steps=10, seed=3)
         assert np.array_equal(a, b)
 
-    def test_steps_zero_returns_seeded_init(self, trained_formula_table):
-        toks = tokenize("a + b = c")
-        v = infer_vector(toks, trained_formula_table, steps=0, seed=99)
-        dim = trained_formula_table.config.dim
-        rng = np.random.default_rng(99)
-        np.testing.assert_array_equal(v, rng.uniform(-0.5 / dim, 0.5 / dim, dim))
-        batch = infer_vectors([tokenize("x + 1"), toks], trained_formula_table, [5, 99], steps=0)
-        np.testing.assert_array_equal(batch[1], v)
+    def test_steps_zero_rejected(self, trained_formula_table):
+        # the vector starts at zero, so no step would leave it zero
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            infer_vector(tokenize("a + b = c"), trained_formula_table, steps=0, seed=99)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            infer_vectors([tokenize("x + 1")], trained_formula_table, [5], steps=0)
 
     def test_matches_single_position_oracle(self, trained_formula_table, fixture_collection):
         formulae = list(fixture_collection.formulas.values())[:8]
         table = at_rate(trained_formula_table, 0.05)
         got = infer_vectors([f.tokens for f in formulae], table, range(8), steps=3)
         for seed, (f, vec) in enumerate(zip(formulae, got)):
-            want = oracle_infer_vector(f.surfaces, trained_formula_table, 3, 0.05, seed)
+            want = oracle_infer_vector(f.surfaces, table, 3, seed)
             np.testing.assert_allclose(vec, want, rtol=0, atol=1e-12)
 
     def test_batch_equals_lone_inference_in_any_order(self, trained_formula_table,
@@ -632,7 +633,7 @@ class TestInference:
         for i, vec in enumerate(got):
             assert np.array_equal(vec, got[1 if i % 3 == 1 else 0])
 
-    @pytest.mark.parametrize("steps", [0, 1, 7])
+    @pytest.mark.parametrize("steps", [1, 2, 7])
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, _INFER_BLOCK - 1, _INFER_BLOCK,
                                    _INFER_BLOCK + 1, 2 * _INFER_BLOCK + 2])
     def test_matches_parent_lockstep_loop_bitwise(self, trained_formula_table,
