@@ -12,15 +12,45 @@ header, skip blank lines and "#" lines (a vector file's only before its
 count line), and report every defect, a non-UTF-8 line among them, as
 MalformedRecord with "path:line: message", which the CLI turns into a
 one-line diagnostic and exit code 1.
+
+Each JSON value follows one of four rules: an identifier (check_id), a
+non-empty string without whitespace; a list of strings (string_list); a JSON
+integer (json_integers), an int, not a bool, from a floor to below 2**63; a
+finite number (finite_numbers), an int or float, not a bool, <= the largest float.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
 from .errors import MalformedRecord, MathembError
+
+
+def check_id(value, kind: str) -> str:
+    if not isinstance(value, str) or value.split() != [value]:
+        raise MalformedRecord(
+            f"{kind} must be a non-empty string without whitespace, got {value!r}")
+    return value
+
+
+def string_list(values, key: str) -> list[str]:
+    """values, if it is a list of strings; str.join checks the entries in C."""
+    try:
+        "".join(values if type(values) is list else [None])     # a non-list fails as None
+    except TypeError:
+        raise MalformedRecord(f"{key} must be a list of strings") from None
+    return values
+
+
+def json_integers(values, least: int) -> bool:
+    return all(type(v) is int and least <= v < 2 ** 63 for v in values)
+
+
+def finite_numbers(values) -> bool:
+    return all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values)
 
 
 def to_json(record) -> str:
@@ -92,8 +122,9 @@ def read_records(path, parse, header: str | None = None) -> list:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
+        except ValueError as exc:   # a JSONDecodeError, or an integer past 4300 digits
+            raise MalformedRecord(f"{path}:{line_no}: invalid JSON "
+                                  f"({getattr(exc, 'msg', exc)})") from None
         if not isinstance(record, dict):
             raise MalformedRecord(f"{path}:{line_no}: record is not an object")
         try:

@@ -13,11 +13,8 @@ Every artifact's header comment records tool version, seed, and the non-path
 configuration, so reruns with the same inputs and seed are byte-identical.
 
 Exit codes: 0 success, 1 data error (one-line diagnostic on stderr),
-2 usage error.  A flag value out of its range (--top, --steps, --threshold,
---mu, --alpha, --tag, --ks, --values, --min-count, neighbors --k,
-pca --components, and the training flags --dim, --window, --negatives,
---epochs, --lr-start, --lr-end, --seed) is a usage error, raised before any
-file is read.
+2 usage error, such as a flag value out of its range (the README lists
+them), raised before any file is read.
 """
 
 from __future__ import annotations

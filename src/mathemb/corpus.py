@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import re
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import artifacts
+from .artifacts import check_id, string_list
 from .errors import (
     DuplicatePageId,
     DuplicateQueryId,
@@ -77,20 +77,10 @@ def load_stopwords(path) -> frozenset[str]:
     return frozenset(w.strip().lower() for _, w in artifacts.read_lines(path) if w.strip())
 
 
-def _check_id(value, kind: str) -> str:
-    if not isinstance(value, str) or value.split() != [value]:
-        raise MalformedRecord(
-            f"{kind} must be a non-empty string without whitespace, got {value!r}")
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise MalformedRecord(f"{key} must be a string")
     return value
-
-
-def _string_list(values, key: str) -> list[str]:
-    """values, if it is a list of strings; str.join checks the entries in C."""
-    try:
-        "".join(values if type(values) is list else [None])     # a non-list fails as None
-    except TypeError:
-        raise MalformedRecord(f"{key} must be a list of strings") from None
-    return values
 
 
 def _tokenized(latexes, id_prefix: str) -> list[TokenizedFormula]:
@@ -115,17 +105,12 @@ def ingest_pages(path, stopwords: frozenset[str] = frozenset()) -> Collection:
     seen: set[str] = set()
 
     def page(rec) -> Page:
-        page_id = _check_id(rec.get("page_id"), "page_id")
+        page_id = check_id(rec.get("page_id"), "page_id")
         if page_id in seen:
             raise DuplicatePageId(f"duplicate page_id {page_id!r}")
         seen.add(page_id)
-        title = rec.get("title", "")
-        if not isinstance(title, str):
-            raise MalformedRecord("title must be a string")
-        text = rec.get("text", "")
-        if not isinstance(text, str):
-            raise MalformedRecord("text must be a string")
-        formulae = _tokenized(_string_list(rec.get("formulas", []), "formulas"), f"{page_id}#f")
+        title, text = _string(rec.get("title", ""), "title"), _string(rec.get("text", ""), "text")
+        formulae = _tokenized(string_list(rec.get("formulas", []), "formulas"), f"{page_id}#f")
         coll.formulas.update((f.id, f) for f in formulae)
         return Page(page_id, title, normalize_text(text, stopwords), [f.id for f in formulae])
 
@@ -138,17 +123,17 @@ def ingest_queries(path) -> list[Query]:
     seen: set[str] = set()
 
     def query(rec) -> Query:
-        query_id = _check_id(rec.get("query_id"), "query_id")
+        query_id = check_id(rec.get("query_id"), "query_id")
         if query_id.startswith("#"):
             # run and qrels readers skip "#" lines as comments
             raise MalformedRecord(f"query_id must not start with '#', got {query_id!r}")
         if query_id in seen:
             raise DuplicateQueryId(f"duplicate query_id {query_id!r}")
         seen.add(query_id)
-        keywords = [term for kw in _string_list(rec.get("keywords", []), "keywords")
+        keywords = [term for kw in string_list(rec.get("keywords", []), "keywords")
                     for term in normalize_text(kw)]
         # "#q", not a page formula's "#f": trained rows are looked up by id
-        formulae = _tokenized(_string_list(rec.get("formulas", []), "formulas"), f"{query_id}#q")
+        formulae = _tokenized(string_list(rec.get("formulas", []), "formulas"), f"{query_id}#q")
         if not keywords and not formulae:
             raise MalformedRecord("query has neither keywords nor formulas")
         return Query(query_id, keywords, formulae)
@@ -184,9 +169,9 @@ class Vocabulary:
     _slices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not all(type(c) is int and c > 0 for c in self.counts):
+        if not artifacts.json_integers(self.counts, 1):
             raise ValueError("surface counts must be integers > 0")
-        if type(self.power) not in (int, float) or not abs(self.power) <= sys.float_info.max:
+        if not artifacts.finite_numbers([self.power]):
             raise ValueError(f"sample power {self.power!r} is not a finite number")
         self.index = {s: i for i, s in enumerate(self.surfaces)}
         with np.errstate(over="ignore"):
@@ -253,7 +238,7 @@ def build_vocabulary(formulas, min_count: int = 1, power: float = 0.75) -> Vocab
 
 
 class _StoreReader(dict):
-    """Record parser for one store read and, as a dict, its surface -> SymbolToken memo."""
+    """Record parser for one store read and, as a dict, its memo of checked surfaces' tokens."""
 
     def __init__(self):
         super().__init__()
@@ -261,25 +246,26 @@ class _StoreReader(dict):
         self.formula_ids: set[str] = set()
 
     def __missing__(self, surface) -> SymbolToken:
-        token = self[surface] = SymbolToken(surface, classify(surface))
+        token = self[check_id(surface, "surface")] = SymbolToken(surface, classify(surface))
         return token
 
     def formula(self, rec) -> TokenizedFormula:
-        if _check_id(rec["id"], "formula id") in self.formula_ids:
+        if check_id(rec["id"], "formula id") in self.formula_ids:
             raise MalformedRecord(f"duplicate formula id {rec['id']!r}")
         self.formula_ids.add(rec["id"])
-        surfaces = _string_list(rec["surfaces"], "surfaces")
+        surfaces = string_list(rec["surfaces"], "surfaces")
         return TokenizedFormula(rec["id"], list(map(self.__getitem__, surfaces)))
 
     def record(self, rec) -> Page | TokenizedFormula:
         kind = rec["kind"]
         if kind == "page":
             page_id = rec["page_id"]
-            if _check_id(page_id, "page_id") in self.page_ids:
+            if check_id(page_id, "page_id") in self.page_ids:
                 raise DuplicatePageId(f"duplicate page_id {page_id!r}")
             self.page_ids.add(page_id)
-            return Page(page_id, rec["title"], _string_list(rec["text_terms"], "text_terms"),
-                        _string_list(rec["formula_ids"], "formula_ids"))
+            return Page(page_id, _string(rec["title"], "title"),
+                        string_list(rec["text_terms"], "text_terms"),
+                        string_list(rec["formula_ids"], "formula_ids"))
         if kind == "formula":
             return self.formula(rec)
         raise MalformedRecord(f"unknown record kind {kind!r}")

@@ -50,7 +50,6 @@ formula vectors, nothing more.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -89,15 +88,13 @@ class TrainingConfig:
     mode: Mode = Mode.SYMBOL2VEC
 
     def __post_init__(self):
-        for name, least in (("dim", 1), ("window", 1), ("negatives", 1), ("epochs", 1),
-                            ("seed", 0)):
-            value = getattr(self, name)
-            if type(value) is not int:      # a bool passes isinstance(value, int)
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
-        if not (all(type(r) in (int, float) for r in (self.lr_start, self.lr_end))
-                and 0 < self.lr_end <= self.lr_start <= sys.float_info.max):
+        for name, least in dict(dim=1, window=1, negatives=1, epochs=1, seed=0).items():
+            if not artifacts.json_integers([value := getattr(self, name)], least):
+                raise ValueError(f"{name} must be >= {least}" if isinstance(value, int)
+                                 and value < least else
+                                 f"{name} must be an integer below 2**63, got {value!r}")
+        if not (artifacts.finite_numbers((self.lr_start, self.lr_end))
+                and 0 < self.lr_end <= self.lr_start):
             raise ValueError("need lr_start >= lr_end > 0")
 
     def to_json_dict(self) -> dict:
@@ -568,7 +565,7 @@ def infer_vector(tokens, table: EmbeddingTable, steps: int = 50, seed: int = 0) 
 
 def _model_meta(payload) -> tuple[TrainingConfig, Vocabulary]:
     config = TrainingConfig.from_json_dict(payload["config"])
-    if type(payload["seed"]) is not int or payload["seed"] != config.seed:
+    if not artifacts.json_integers([payload["seed"]], 0) or payload["seed"] != config.seed:
         raise MalformedRecord(f"seed {payload['seed']!r} differs from config seed {config.seed}")
     vocab = Vocabulary([s for s, _ in payload["vocab_counts"]],
                        [c for _, c in payload["vocab_counts"]], payload["sampling_power"])

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import sys
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
@@ -41,8 +40,9 @@ from itertools import chain, count, islice
 import numpy as np
 
 from . import artifacts
+from .artifacts import check_id
 from .analysis import string_rank, unit_rows
-from .corpus import Collection, Page, Query, _check_id
+from .corpus import Collection, Page, Query
 from .embeddings import EmbeddingTable, Mode, infer_vectors
 from .errors import (
     DimensionMismatch,
@@ -121,28 +121,27 @@ class TextIndex:
 
     @classmethod
     def load(cls, path) -> "TextIndex":
-        """Read an index, checking each page's id as the store does, that its
-        tf is an object of positive integer counts summing to its length, mu a
-        finite number > 0, and collection_length and pages those of the page records."""
+        """Read an index, checking its page ids, counts, lengths and statistics
+        by the rules of artifacts.py, that each page's counts sum to its length
+        and that collection_length and pages are what the page records give."""
         stats: dict = {}
         pages: dict[str, dict] = {}
 
         def record(rec) -> None:
             if not stats:
                 stats.update((key, rec[key]) for key in ("collection_length", "mu", "pages"))
-                # finite as a float: a JSON integer past the float range is not
-                if type(rec["mu"]) not in (int, float) or not 0 < rec["mu"] <= sys.float_info.max:
+                if not (artifacts.finite_numbers([rec["mu"]]) and rec["mu"] > 0):
                     raise MalformedRecord(f"mu must be > 0 and finite, got {rec['mu']!r}")
                 return
-            page_id, tf, length = _check_id(rec["page_id"], "page_id"), rec["tf"], rec["length"]
+            page_id, tf, length = check_id(rec["page_id"], "page_id"), rec["tf"], rec["length"]
             if not isinstance(tf, dict):
                 raise MalformedRecord(f"page {page_id!r}: tf must be an object")
             if page_id in pages:
                 raise DuplicatePageId(f"duplicate page_id {page_id!r}")
-            if not all(type(c) is int and c > 0 for c in tf.values()):
+            if not artifacts.json_integers(tf.values(), 1):
                 raise MalformedRecord(f"page {page_id!r} has a count that is not an integer > 0")
-            if length != sum(tf.values()):
-                raise MalformedRecord(f"page {page_id!r} has length {length}, but its term "
+            if not artifacts.json_integers([length], 0) or length != sum(tf.values()):
+                raise MalformedRecord(f"page {page_id!r} has length {length!r}, but its term "
                                       f"counts sum to {sum(tf.values())}")
             pages[page_id] = tf
 
@@ -152,7 +151,7 @@ class TextIndex:
         index = cls(pages.items(), stats["mu"])
         for key, value, what in (("collection_length", index.coll_len, "sum of the page lengths"),
                                  ("pages", len(pages), "number of page records")):
-            if stats[key] != value:
+            if not artifacts.json_integers([stats[key]], 0) or stats[key] != value:
                 raise MalformedRecord(f"{path}: {key} {stats[key]!r} is not the {what}, {value}")
         return index
 
@@ -169,7 +168,7 @@ def lm_score(keywords, page_ids, index: TextIndex, mu: float | None = None) -> n
         rows = np.array(list(map(index.page_row.__getitem__, page_ids)), dtype=np.intp)
     except KeyError as exc:
         raise UnknownPage(exc.args[0]) from None
-    mu = index.mu if mu is None else mu
+    mu = float(index.mu if mu is None else mu)      # int64 length + an int mu can overflow
     if not 0 < mu < math.inf:
         raise ValueError("mu must be finite and > 0")
     length = index.page_len[rows]

@@ -1,5 +1,8 @@
+import functools
 import io
 import json
+import operator
+import re
 import shutil
 import subprocess
 import sys
@@ -67,7 +70,14 @@ def test_invalid_training_flags_exit_two(pipeline, tmp_path, capsys):
     (["--min-count", "0"], "--min-count must be >= 1"),
     (["--lr-start", "inf"], "need lr_start >= lr_end > 0"),
     (["--seed", "-1"], "seed must be >= 0"),
-], ids=["epochs-zero", "lr-rising", "min-count-zero", "lr-start-inf", "seed-negative"])
+    (["--window", str(10 ** 400)], f"window must be an integer below 2**63, got {10 ** 400}"),
+    (["--epochs", str(10 ** 400)], f"epochs must be an integer below 2**63, got {10 ** 400}"),
+    (["--dim", str(10 ** 400)], f"dim must be an integer below 2**63, got {10 ** 400}"),
+    (["--negatives", str(10 ** 400)], f"negatives must be an integer below 2**63, got {10 ** 400}"),
+    (["--seed", str(2 ** 63)], f"seed must be an integer below 2**63, got {2 ** 63}"),
+], ids=["epochs-zero", "lr-rising", "min-count-zero", "lr-start-inf", "seed-negative",
+        "window-past-int64", "epochs-past-int64", "dim-past-int64", "negatives-past-int64",
+        "seed-2**63"])
 def test_invalid_training_flags_exit_two_before_reading_the_corpus(tmp_path, capsys, command,
                                                                    flags, message):
     missing = str(tmp_path / "missing")
@@ -571,6 +581,23 @@ class TestPipeline:
         assert "NDCG@30" in out and "ALL" in out
 
 
+# what the mutation test writes into each field: a negative, a fraction, the
+# JSON types no field takes here, and integers past int64 and the float range
+MUTATIONS = [-1, 2.5, "", True, None, [], 2 ** 63, 10 ** 400]
+
+
+def field_paths(value, path=()):
+    """The key path of every field of a JSON object, of each field of an
+    object inside it and of the first entry of each list inside it."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield path + (key,)
+            yield from field_paths(item, path + (key,))
+    elif isinstance(value, list) and value:
+        yield path + (0,)
+        yield from field_paths(value[0], path + (0,))
+
+
 class TestCorruptArtifacts:
     """A corrupt artifact ends its command with exit 1 and a path:line diagnostic."""
 
@@ -602,6 +629,19 @@ class TestCorruptArtifacts:
         ("f2v_meta", 2, ('"epochs":10,', '"epochs":2.5,')),
         ("f2v_meta", 2, ('"seed":7,"window"', '"seed":"s","window"')),
         ("f2v_meta", 2, ('"seed":7,"window"', '"seed":2.5,"window"')),
+        ("f2v_meta", 2, ('"window":5', f'"window":{10 ** 400}')),
+        ("f2v_meta", 2, ('"window":5', f'"window":{2 ** 63}')),
+        ("f2v_meta", 2, ('"negatives":5', f'"negatives":{10 ** 400}')),
+        ("f2v_meta", 2, ('"epochs":10,', f'"epochs":{10 ** 400},')),
+        ("f2v_meta", 2, ('"window":5', '"window":' + "1" * 5000)),
+        ("sym_meta", 2, ('["{",23]', f'["{{",{10 ** 400}]')),
+        # a tf count of 2**63, the page's length still its counts' sum
+        ("index", 4, ('{"length":27,"page_id":"Trig_Addition","tf":{"a":1,',
+                      f'{{"length":{2 ** 63 + 26},"page_id":"Trig_Addition","tf":{{"a":{2 ** 63},')),
+        ("index", 4, ('{"length":27,', '{"length":27.0,')),
+        ("store", 3, ('"title":"Trigonometric addition formulas"', '"title":7')),
+        ("train", 3, ('"surfaces":["', '"surfaces":["a b","')),
+        ("train", 3, ('"surfaces":["', '"surfaces":["","')),
     ], ids=["store-missing-field", "store-not-object", "store-number-surface",
             "corpus-missing-field", "corpus-list-surface", "corpus-null-surface",
             "index-not-json", "index-page-id-number", "index-tf-list", "meta-not-json",
@@ -609,13 +649,17 @@ class TestCorruptArtifacts:
             "index-mu-past-float-range", "meta-count-fraction", "meta-count-negative",
             "meta-power-string", "meta-seed-differs", "meta-negatives-fraction",
             "meta-window-fraction", "meta-window-true", "meta-epochs-fraction",
-            "meta-config-seed-string", "meta-config-seed-fraction"])
+            "meta-config-seed-string", "meta-config-seed-fraction", "meta-window-past-int64",
+            "meta-window-2**63", "meta-negatives-past-int64", "meta-epochs-past-int64",
+            "meta-window-5000-digits", "meta-count-past-int64", "index-count-2**63",
+            "index-length-float", "store-title-number", "corpus-surface-with-space",
+            "corpus-surface-empty"])
     def test_exit_one_with_path_and_line(self, pipeline, tmp_path, capsys,
                                          artifact, line_no, text):
         work = tmp_path / "pipeline"
         shutil.copytree(pipeline["store"].parent, work)
         paths = {name: work / pipeline[name].name for name in ("store", "train", "index")}
-        paths["f2v_meta"] = work / "f2v.meta.txt"
+        paths.update(f2v_meta=work / "f2v.meta.txt", sym_meta=work / "sym.meta.txt")
         lines = paths[artifact].read_text().splitlines()
         if isinstance(text, tuple):
             assert lines[line_no - 1].count(text[0]) == 1
@@ -631,12 +675,59 @@ class TestCorruptArtifacts:
                       "--method", "lm", "--index", str(paths["index"]),
                       "--out", str(tmp_path / "r.run")],
             "f2v_meta": ["neighbors", "--model", str(work / "f2v"), "--symbol", "x"],
+            "sym_meta": ["neighbors", "--model", str(work / "sym"), "--symbol", "x"],
         }[artifact]
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths[artifact]}:{line_no}: "), err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("artifact", ["store", "train", "index", "sym_meta", "f2v_meta"])
+    def test_every_mutated_field_exits_zero_or_one_naming_the_file(self, pipeline, tmp_path,
+                                                                   capsys, artifact):
+        # each field of the first two records set to each of MUTATIONS in turn;
+        # a check of how records add up (the index's totals, a page's missing
+        # formula, the index against the store) names the file alone
+        work = tmp_path / "pipeline"
+        shutil.copytree(pipeline["store"].parent, work)
+        path = work / {"store": "collection.store", "train": "train.corpus",
+                       "index": "text.index", "sym_meta": "sym.meta.txt",
+                       "f2v_meta": "f2v.meta.txt"}[artifact]
+        argv = {
+            "store": ["filter", "--store", str(path), "--out", str(tmp_path / "out.corpus")],
+            "train": ["train-symbol2vec", "--corpus", str(path), "--out", str(tmp_path / "sym"),
+                      "--dim", "4", "--epochs", "1"],
+            "index": ["search", "--store", str(work / "collection.store"),
+                      "--queries", str(QUERIES_PATH), "--method", "lm", "--index", str(path),
+                      "--out", str(tmp_path / "r.run")],
+            "sym_meta": ["neighbors", "--model", str(work / "sym"), "--symbol", "x"],
+            "f2v_meta": ["search", "--store", str(work / "collection.store"),
+                         "--queries", str(QUERIES_PATH), "--method", "formula2vec",
+                         "--model", str(work / "f2v"), "--out", str(tmp_path / "r.run")],
+        }[artifact]
+        lines = path.read_text().splitlines()
+        failures, runs = [], 0
+        for at in [i for i, line in enumerate(lines) if line.startswith("{")][:2]:
+            for field in field_paths(json.loads(lines[at])):
+                for value in MUTATIONS:
+                    record = json.loads(lines[at])
+                    functools.reduce(operator.getitem, field[:-1], record)[field[-1]] = value
+                    path.write_text("\n".join(lines[:at] + [json.dumps(record)] + lines[at + 1:])
+                                    + "\n")
+                    capsys.readouterr()
+                    runs += 1
+                    try:
+                        code = main(argv)
+                    except Exception as exc:        # a warning too: pytest makes it an error
+                        failures.append((at + 1, field, value, repr(exc)[:200]))
+                        continue
+                    err = capsys.readouterr().err
+                    named = re.fullmatch(rf"error: {re.escape(str(path))}(:{at + 1}:|:? ).*\n",
+                                         err)
+                    if code != 0 and not (code == 1 and named):
+                        failures.append((at + 1, field, value, code, err[:200]))
+        assert runs >= 40 and not failures, failures[:10]
 
     def test_model_width_must_match_its_config(self, pipeline, tmp_path, capsys):
         # every vector file cut to 4 entries a row, the meta still at the trained dim

@@ -287,6 +287,28 @@ class TestPersistence:
         with pytest.raises(MalformedRecord, match=f"store.txt:{at + 1}: {message}$"):
             load(p)
 
+    @pytest.mark.parametrize("value", ["a b", ""], ids=["space", "empty"])
+    @pytest.mark.parametrize("store", ["collection", "training-corpus"])
+    def test_malformed_surface_rejected_with_line(self, fixture_collection,
+                                                  fixture_train_corpus, tmp_path, store, value):
+        # a surface becomes a model's vector-file label, which could not hold it
+        p = tmp_path / "store.txt"
+        if store == "collection":
+            save_collection(fixture_collection, p)
+            load = load_collection
+        else:
+            save_training_corpus(fixture_train_corpus, p)
+            load = load_training_corpus
+        lines = p.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if '"surfaces"' in line)
+        record = json.loads(lines[at])
+        record["surfaces"].append(value)
+        lines[at] = json.dumps(record)
+        p.write_text("\n".join(lines) + "\n")
+        message = f"surface must be a non-empty string without whitespace, got {value!r}"
+        with pytest.raises(MalformedRecord, match=f"store.txt:{at + 1}: {message}$"):
+            load(p)
+
     def test_training_corpus_round_trip(self, fixture_train_corpus, tmp_path):
         p1 = tmp_path / "t1.txt"
         p2 = tmp_path / "t2.txt"

@@ -58,6 +58,8 @@ class TestConfig:
         dict(negatives=2.5), dict(window=2.5), dict(window=True), dict(epochs=2.5),
         dict(seed="s"), dict(seed=2.5), dict(seed=-1), dict(lr_start=math.inf),
         dict(lr_start=True, lr_end=0.5),
+        dict(window=2 ** 63), dict(negatives=10 ** 400), dict(epochs=10 ** 400),
+        dict(dim=10 ** 400), dict(seed=2 ** 63),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):

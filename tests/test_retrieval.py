@@ -128,6 +128,11 @@ class TestTextIndex:
                                      "page lengths, 371$"),
         ("pages", 99, "i.txt: pages 99 is not the number of page records, 16$"),
         ("length", 27.9, "i.txt:3: page .* has length 27.9, but its term counts sum to 27$"),
+        ("length", 27.0, "i.txt:3: page .* has length 27.0, but its term counts sum to 27$"),
+        ("collection_length", 371.0, "i.txt: collection_length 371.0 is not the sum of the "
+                                     "page lengths, 371$"),
+        ("pages", 16.0, "i.txt: pages 16.0 is not the number of page records, 16$"),
+        ("tf", {"a": 2 ** 63}, "i.txt:3: page .* has a count that is not an integer > 0"),
     ])
     def test_inconsistent_index_rejected(self, fixture_index, tmp_path, field, value, match):
         p = tmp_path / "i.txt"
